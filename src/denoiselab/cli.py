@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import os
 import shlex
@@ -73,16 +74,26 @@ class UsageError(Exception):
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, optional JSON config, and explicit flags (flags win)."""
+    """Merge defaults, optional JSON config, and explicit flags (flags win).
+
+    The config holds flags of the subcommand, or is a manifest of the same one.
+    """
     resolved = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config {config_path} is not a JSON object")
         if isinstance(loaded.get("flags"), dict):  # accept a manifest directly
+            if loaded.get("subcommand") != args.subcommand:
+                raise UsageError(f"config {config_path} is a {loaded.get('subcommand')!r} "
+                                 f"manifest, not {args.subcommand!r}")
             loaded = loaded["flags"]
-        for key in defaults:
-            if key in loaded:
-                resolved[key] = loaded[key]
+        unknown = sorted(set(loaded) - set(defaults))
+        if unknown:
+            raise UsageError(f"config {config_path} has keys that are not "
+                             f"{args.subcommand} flags: {', '.join(unknown)}")
+        resolved.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -336,7 +347,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if resolved["tolerance"] is not None and resolved["tolerance"] <= 0:
         raise UsageError(f"tolerance must be positive, got {resolved['tolerance']}")
     fn = SUITES[suite]
-    accepted = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+    accepted = inspect.signature(fn).parameters
     kwargs = {"seed": int(resolved["seed"])}
     for key in ("dim", "tolerance", "n_samples", "n_seeds", "n_starts", "steps"):
         if resolved[key] is not None and key in accepted:

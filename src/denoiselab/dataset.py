@@ -48,6 +48,24 @@ class DataMatrix:
         return self.values.shape[1]
 
 
+def noisy_rows(X: DataMatrix, sigma: float, n: int,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, rows + sigma * noise) for n rows of X drawn with replacement.
+
+    Row indices are drawn first, then the normals, so seeded callers agree bit for bit.
+    """
+    rows = X.values[rng.integers(0, X.n_samples, size=n)]
+    return rows, rows + sigma * rng.standard_normal((n, X.dim))
+
+
+def squared_distances(A: np.ndarray, B: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """||a - b||^2 for all row pairs, as ||a||^2 - 2<a,b> + ||b||^2 clipped at 0.
+
+    ``b_sq`` holds the squared row norms of B, so a fixed B computes them once.
+    """
+    return np.maximum((A**2).sum(axis=1)[:, None] - 2.0 * A @ B.T + b_sq[None, :], 0.0)
+
+
 @dataclass(frozen=True)
 class GaussianStats:
     """Empirical mean plus the eigendecomposition of the empirical covariance.

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import DataMatrix, GaussianStats
+from .dataset import DataMatrix, GaussianStats, squared_distances
 from .errors import DimensionMismatchError, ValueRangeError
 
 
 class Denoiser:
-    """Interface: ``evaluate(x, sigma) -> x_hat`` plus a fixed ``dim``.
+    """Interface: ``evaluate_batch(X, sigma) -> X_hat`` plus a fixed ``dim``.
 
-    Batch evaluation is defined as independent per-row evaluation; subclasses
-    override ``evaluate_batch`` only to vectorize it.
+    ``evaluate_batch`` maps a k x dim array of noisy rows to k denoised rows
+    and is the one method a subclass must implement; ``evaluate`` is its
+    one-row view. Subclasses set ``dim`` when they are built.
     """
 
     dim: int
@@ -29,8 +30,7 @@ class Denoiser:
         return self.evaluate_batch(np.asarray(x, dtype=np.float64)[None, :], sigma)[0]
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return np.stack([self.evaluate(row, sigma) for row in X])
+        raise NotImplementedError(f"{type(self).__name__} does not implement evaluate_batch")
 
     def _check_input(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -55,19 +55,14 @@ class MultiDeltaDenoiser(Denoiser):
     def __init__(self, data: DataMatrix):
         self.data = data
         self.dim = data.dim
+        self._sq_norms = (data.values**2).sum(axis=1)
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
         X = self._check_input(X)
         if not sigma > 0:
             raise ValueRangeError(f"sigma must be positive, got {sigma}")
         Y = self.data.values
-        # squared distances via ||x||^2 - 2<x,y> + ||y||^2, clipped against
-        # cancellation producing small negatives
-        sq = np.maximum(
-            (X**2).sum(axis=1)[:, None] - 2.0 * X @ Y.T + (Y**2).sum(axis=1)[None, :],
-            0.0,
-        )
-        logits = -sq / (2.0 * sigma**2)
+        logits = -squared_distances(X, Y, self._sq_norms) / (2.0 * sigma**2)
         logits -= logits.max(axis=1, keepdims=True)
         w = np.exp(logits)
         w /= w.sum(axis=1, keepdims=True)
@@ -170,10 +165,7 @@ def affine_denoise(D: AffineDenoiser, x: np.ndarray) -> np.ndarray:
 
 def denoiser_to_score(D: Denoiser, x: np.ndarray, sigma: float) -> np.ndarray:
     """Score of the sigma-mollified density at x: (D(x; sigma) - x) / sigma^2."""
-    if not sigma > 0:
-        raise ValueRangeError(f"score conversion requires sigma > 0, got {sigma}")
-    x = np.asarray(x, dtype=np.float64)
-    return (D.evaluate(x, sigma) - x) / sigma**2
+    return score_batch(D, np.asarray(x, dtype=np.float64)[None, :], sigma)[0]
 
 
 def score_batch(D: Denoiser, X: np.ndarray, sigma: float) -> np.ndarray:

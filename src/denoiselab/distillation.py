@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DataMatrix, GaussianStats
+from .dataset import DataMatrix, GaussianStats, noisy_rows
 from .denoisers import AffineDenoiser, Denoiser, GaussianDenoiser
 from .errors import (
     DimensionMismatchError,
@@ -29,7 +29,7 @@ from .optim import Adam
 
 AFFINE_MAGIC = b"AFF1"
 
-#: dense d x d weights above this are refused rather than silently slow
+#: dense d x d weights and Jacobians above this are refused, not silently slow
 MAX_DENSE_DIM = 4096
 
 #: loss exceeding this multiple of its starting value counts as divergence
@@ -56,10 +56,11 @@ class DistillConfig:
             raise ValueRangeError(f"learning rate must be nonnegative, got {self.lr}")
 
 
-def _check_dense_dim(dim: int) -> None:
+def check_dense_dim(dim: int) -> None:
+    """Refuse a dense dim x dim matrix above ``MAX_DENSE_DIM``, before allocating it."""
     if dim > MAX_DENSE_DIM:
         raise ValueRangeError(
-            f"dense {dim}x{dim} weight exceeds the {MAX_DENSE_DIM} desk-scale cap"
+            f"dense {dim}x{dim} matrix exceeds the {MAX_DENSE_DIM} desk-scale cap"
         )
 
 
@@ -71,7 +72,7 @@ def closed_form_linear(stats: GaussianStats, sigma: float) -> AffineDenoiser:
     the affine-constrained denoising objective, hence the reference every
     distillation result is compared against.
     """
-    _check_dense_dim(stats.dim)
+    check_dense_dim(stats.dim)
     coef = GaussianDenoiser(stats).shrinkage(sigma)
     W = (stats.basis * coef) @ stats.basis.T
     b = stats.mean - W @ stats.mean
@@ -91,7 +92,7 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
         raise DimensionMismatchError(f"target dim {target.dim} != data dim {X.dim}")
     if not sigma > 0:
         raise ValueRangeError(f"sigma must be positive, got {sigma}")
-    _check_dense_dim(X.dim)
+    check_dense_dim(X.dim)
     d = X.dim
     rng = np.random.default_rng(cfg.seed)
     W = np.zeros((d, d))
@@ -100,8 +101,7 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
         if cfg.use_adam else None
     losses = np.empty(cfg.steps)
     for k in range(cfg.steps):
-        rows = X.values[rng.integers(0, X.n_samples, size=cfg.batch)]
-        noisy = rows + sigma * rng.standard_normal(rows.shape)
+        _, noisy = noisy_rows(X, sigma, cfg.batch, rng)
         teach = target.evaluate_batch(noisy, sigma)
         resid = noisy @ W.T + b - teach
         loss = float((resid**2).sum(axis=1).mean())
@@ -130,7 +130,7 @@ def train_linear_dsm(X: DataMatrix, sigma: float,
     """
     if not sigma > 0:
         raise ValueRangeError(f"sigma must be positive, got {sigma}")
-    _check_dense_dim(X.dim)
+    check_dense_dim(X.dim)
     d = X.dim
     Y = X.values
     mu = Y.mean(axis=0)
@@ -174,8 +174,7 @@ def orthogonality_residual(D: Denoiser, X: DataMatrix, sigma: float,
     if n_samples < 1:
         raise ValueRangeError("need at least one sample")
     rng = np.random.default_rng(seed)
-    rows = X.values[rng.integers(0, X.n_samples, size=n_samples)]
-    noisy = rows + sigma * rng.standard_normal(rows.shape)
+    rows, noisy = noisy_rows(X, sigma, n_samples, rng)
     resid = D.evaluate_batch(noisy, sigma) - rows
     centered = noisy - X.values.mean(axis=0)
     cross = resid.T @ centered / n_samples

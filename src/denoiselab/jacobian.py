@@ -16,11 +16,9 @@ import numpy as np
 
 from .dataset import write_raw_f64
 from .denoisers import Denoiser
+from .distillation import check_dense_dim
 from .errors import DimensionMismatchError, ValueRangeError
 from .sampler import SigmaSchedule, Trajectory, ode_sample
-
-#: dense d x d Jacobians above this are refused rather than silently slow
-MAX_DENSE_DIM = 4096
 
 #: central-difference step balancing truncation vs rounding on [-1, 1] data
 DEFAULT_FD_STEP = 1e-4
@@ -59,9 +57,7 @@ def jacobian_fd(D: Denoiser, x: np.ndarray, sigma: float,
     d = D.dim
     if x.shape != (d,):
         raise DimensionMismatchError(f"point shape {x.shape} != (dim={d},)")
-    if d > MAX_DENSE_DIM:
-        raise ValueRangeError(
-            f"dense {d}x{d} Jacobian exceeds the {MAX_DENSE_DIM} desk-scale cap")
+    check_dense_dim(d)
     probes = np.concatenate([x + h * np.eye(d), x - h * np.eye(d)])
     outputs = D.evaluate_batch(probes, sigma)
     J = (outputs[:d] - outputs[d:]).T / (2.0 * h)

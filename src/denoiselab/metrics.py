@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import DataMatrix
+from .dataset import DataMatrix, noisy_rows, squared_distances
 from .denoisers import Denoiser
 from .errors import DimensionMismatchError, ValueRangeError
 from .sampler import SigmaSchedule
@@ -28,11 +28,6 @@ class MetricValue(NamedTuple):
 
     value: float
     skipped: int
-
-
-def _noisy_rows(X: DataMatrix, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    rows = X.values[rng.integers(0, X.n_samples, size=n)]
-    return rows + sigma * rng.standard_normal((n, X.dim))
 
 
 def linearity_score(D: Denoiser, X: DataMatrix, sigma: float,
@@ -59,8 +54,8 @@ def linearity_score(D: Denoiser, X: DataMatrix, sigma: float,
     if variant not in ("cosine", "nmse"):
         raise ValueError(f"unknown linearity variant {variant!r}")
     rng = np.random.default_rng(seed)
-    x1 = _noisy_rows(X, sigma, n_pairs, rng)
-    x2 = _noisy_rows(X, sigma, n_pairs, rng)
+    _, x1 = noisy_rows(X, sigma, n_pairs, rng)
+    _, x2 = noisy_rows(X, sigma, n_pairs, rng)
     combined = D.evaluate_batch(alpha * x1 + beta * x2, sigma)
     separate = alpha * D.evaluate_batch(x1, sigma) + beta * D.evaluate_batch(x2, sigma)
     comb_norm = np.linalg.norm(combined, axis=1)
@@ -92,7 +87,7 @@ def score_diff(D1: Denoiser, D2: Denoiser, X: DataMatrix, sigma: float,
     if variant not in ("rmse", "nmse"):
         raise ValueError(f"unknown score_diff variant {variant!r}")
     rng = np.random.default_rng(seed)
-    noisy = _noisy_rows(X, sigma, n, rng)
+    _, noisy = noisy_rows(X, sigma, n, rng)
     out1 = D1.evaluate_batch(noisy, sigma)
     out2 = D2.evaluate_batch(noisy, sigma)
     diff = np.linalg.norm(out1 - out2, axis=1)
@@ -123,11 +118,7 @@ def gl_score(samples: np.ndarray, Y: DataMatrix) -> MetricValue:
     kept = samples[ok]
     if kept.shape[0] == 0:
         raise ValueRangeError("every sample has zero norm")
-    sq = np.maximum(
-        (kept**2).sum(axis=1)[:, None] - 2.0 * kept @ Y.values.T
-        + (Y.values**2).sum(axis=1)[None, :],
-        0.0,
-    )
+    sq = squared_distances(kept, Y.values, (Y.values**2).sum(axis=1))
     nearest = Y.values[np.argmin(sq, axis=1)]
     dists = np.linalg.norm(kept - nearest, axis=1)
     return MetricValue(float(np.mean(dists / norms[ok])), skipped)

@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .denoisers import Denoiser
 from .errors import (
     DimensionMismatchError,
     PluginExitError,
@@ -39,12 +40,12 @@ TAG_RESPONSE = 0x02
 TAG_SHUTDOWN = 0xFF
 
 
-class ExternalDenoiser:
-    """Client side of the plugin protocol, usable wherever a Denoiser is.
+class ExternalDenoiser(Denoiser):
+    """A ``Denoiser`` evaluated by a child process over the plugin protocol.
 
     ``command`` is the child's argv list; ``dim`` is the expected data
     dimension, confirmed during the handshake. ``timeout`` (seconds) bounds
-    every read.
+    every read. Each ``evaluate_batch`` call is one round trip.
     """
 
     def __init__(self, command: list[str], dim: int, timeout: float = 30.0):
@@ -109,9 +110,6 @@ class ExternalDenoiser:
         payload = self._read(8 * k * self.dim)
         return np.frombuffer(payload, dtype="<f8").reshape(k, self.dim).copy()
 
-    def evaluate(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=np.float64)[None, :], sigma)[0]
-
     def close(self) -> None:
         """Send shutdown and reap the child."""
         if self._proc.poll() is None:
@@ -154,7 +152,8 @@ def serve_plugin(handler: Callable[[np.ndarray, float], np.ndarray], dim: int,
     """Child side of the protocol; returns the intended process exit code.
 
     ``handler(batch, sigma)`` maps a k x dim array to a k x dim array. The
-    loop exits 0 on the shutdown tag, nonzero on protocol violations or EOF.
+    loop exits 0 on the shutdown tag, nonzero on protocol violations or EOF;
+    a handler result of another shape is one, and gets no reply.
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
@@ -193,6 +192,8 @@ def serve_plugin(handler: Callable[[np.ndarray, float], np.ndarray], dim: int,
             return 1
         batch = np.frombuffer(payload, dtype="<f8").reshape(k, dim)
         result = np.ascontiguousarray(handler(batch, sigma), dtype=np.float64)
+        if result.shape != (k, dim):
+            return 2
         stdout.write(struct.pack("<BI", TAG_RESPONSE, k))
         stdout.write(result.astype("<f8").tobytes())
         stdout.flush()

@@ -107,30 +107,24 @@ def ode_sample(D: Denoiser, schedule: SigmaSchedule, x_T: np.ndarray) -> Traject
     """Integrate the reverse ODE with first-order (Euler) steps.
 
     The terminal step to level 0 returns D evaluated at the last positive
-    level. Denoiser failures propagate annotated with the step index.
+    level. Denoiser failures propagate annotated with the step and sigma.
     """
     x_T = np.asarray(x_T, dtype=np.float64)
     if x_T.shape != (D.dim,):
         raise DimensionMismatchError(f"start state shape {x_T.shape} != (dim={D.dim},)")
-    t = schedule.values
+    sigmas = np.append(schedule.values, 0.0)
     states = [x_T]
     x = x_T
-    for i in range(schedule.n_steps - 1):
+    for i, (t, t_next) in enumerate(zip(sigmas[:-1], sigmas[1:])):
         try:
-            denoised = D.evaluate(x, float(t[i]))
+            denoised = D.evaluate(x, float(t))
         except Exception as exc:
-            exc.args = (f"denoiser failed at step {i} (sigma={t[i]}): {exc}",)
+            exc.args = (f"denoiser failed at step {i} (sigma={t}): {exc}",)
             raise
-        ratio = t[i + 1] / t[i]
-        x = ratio * x + (1.0 - ratio) * denoised
+        ratio = t_next / t
+        x = ratio * x + (1.0 - ratio) * denoised if t_next > 0 else denoised
         states.append(x)
-    try:
-        final = D.evaluate(x, float(t[-1]))
-    except Exception as exc:
-        exc.args = (f"denoiser failed at terminal step (sigma={t[-1]}): {exc}",)
-        raise
-    states.append(final)
-    return Trajectory(sigmas=np.append(t, 0.0), states=np.stack(states))
+    return Trajectory(sigmas=sigmas, states=np.stack(states))
 
 
 def gaussian_trajectory(stats: GaussianStats, x_T: np.ndarray,

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import DataMatrix
+from .dataset import DataMatrix, noisy_rows
 from .denoisers import Denoiser
 from .errors import (
     DimensionMismatchError,
@@ -181,15 +181,13 @@ def train_toy(model: ToyDenoiser, X: DataMatrix, sigma: float, steps: int,
     if steps < 1:
         raise ValueRangeError("need at least one step")
     rng = np.random.default_rng(seed)
-    val_rows = X.values[rng.integers(0, X.n_samples, size=batch)]
-    val_noisy = val_rows + sigma * rng.standard_normal(val_rows.shape)
+    val_rows, val_noisy = noisy_rows(X, sigma, batch, rng)
     opt = Adam(model.params, lr=lr)
     losses = np.empty(steps)
     val_losses = np.empty(steps + 1)
     val_losses[0] = model.loss(val_noisy, val_rows, sigma)
     for k in range(steps):
-        rows = X.values[rng.integers(0, X.n_samples, size=batch)]
-        noisy = rows + sigma * rng.standard_normal(rows.shape)
+        rows, noisy = noisy_rows(X, sigma, batch, rng)
         loss, grads = model.loss_grads(noisy, rows, sigma)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss at step {k}", step=k)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix, empirical_stats
-from .denoisers import GaussianDenoiser, MultiDeltaDenoiser
+from .denoisers import AffineDenoiser, GaussianDenoiser, MultiDeltaDenoiser
 from .distillation import (
     DistillConfig,
     closed_form_linear,
@@ -141,14 +141,6 @@ def suite_memorize(seed: int = 0, dim: int = 16, n_samples: int = 32,
     return results
 
 
-class _ZeroMap:
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def evaluate_batch(self, batch, sigma):
-        return np.zeros_like(batch)
-
-
 def suite_orthogonality(seed: int = 0, dim: int = 16,
                         n_samples: int = 10_000) -> list[CheckResult]:
     """Normal equations hold for the Gaussian denoiser but not the zero map."""
@@ -161,7 +153,8 @@ def suite_orthogonality(seed: int = 0, dim: int = 16,
         gauss = orthogonality_residual(GaussianDenoiser(stats), X, sigma,
                                        n_samples, seed)
         results.append(_check(f"orthogonality/gaussian@sigma={sigma}", gauss, 0.05))
-        zero = orthogonality_residual(_ZeroMap(dim), X, sigma, n_samples, seed)
+        zero_map = AffineDenoiser(np.zeros((dim, dim)), np.zeros(dim))
+        zero = orthogonality_residual(zero_map, X, sigma, n_samples, seed)
         results.append(_check(f"orthogonality/zero-map@sigma={sigma}", zero, 0.3, ">"))
     return results
 

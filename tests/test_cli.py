@@ -1,3 +1,4 @@
+import functools
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from denoiselab import load_affine, read_raw_f64
 from denoiselab.cli import main
+from denoiselab.verify import SUITES
 from denoiselab.synth import cluster_dataset
 
 from conftest import write_csv
@@ -245,3 +247,48 @@ def test_default_outdir_from_environment(tmp_path, two_point_csv, monkeypatch):
     monkeypatch.setenv("DENOISELAB_OUT", str(target))
     assert main(["stats", "--data", two_point_csv]) == 0
     assert (target / "eigvals.csv").exists()
+
+
+def test_verify_flags_reach_a_wrapped_suite(monkeypatch):
+    seen = {}
+
+    def suite(seed=0, dim=16, steps=100):
+        seen.update(seed=seed, dim=dim, steps=steps)
+        return []
+
+    @functools.wraps(suite)
+    def wrapped(*args, **kwargs):
+        return suite(*args, **kwargs)
+
+    monkeypatch.setitem(SUITES, "trajectory", wrapped)
+    assert main(["verify", "--suite", "trajectory", "--steps", "7", "--dim", "4"]) == 0
+    assert seen == {"seed": 0, "dim": 4, "steps": 7}
+
+
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, cluster_csv, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([1, 2]))
+    code = main(["sample", "--data", cluster_csv, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_config_with_unknown_key_is_usage_error(tmp_path, cluster_csv, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_stepz": 5, "n": 10}))
+    code = main(["metrics", "--data", cluster_csv, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n_stepz" in err and "not metrics flags" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_manifest_of_another_subcommand_is_usage_error(tmp_path, cluster_csv, capsys):
+    out = tmp_path / "stats"
+    assert main(["stats", "--data", cluster_csv, "--out", str(out)]) == 0
+    code = main(["sample", "--config", str(out / "manifest.json"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "'stats' manifest, not 'sample'" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from denoiselab import (
     AffineDenoiser,
     DataMatrix,
+    Denoiser,
     GaussianDenoiser,
     GaussianStats,
     MultiDeltaDenoiser,
@@ -195,3 +196,14 @@ def test_per_level_denoiser_dispatch(two_point_stats):
     assert np.array_equal(table.evaluate(x, 9.0), x)
     with pytest.raises(ValueRangeError):
         PerLevelDenoiser({})
+
+
+def test_denoiser_without_evaluate_batch_raises_not_implemented():
+    class Bare(Denoiser):
+        dim = 2
+
+    with pytest.raises(NotImplementedError, match="Bare"):
+        Bare().evaluate(np.zeros(2), 1.0)
+    with pytest.raises(NotImplementedError):
+        Bare().evaluate_batch(np.zeros((3, 2)), 1.0)
+

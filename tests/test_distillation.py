@@ -6,6 +6,7 @@ from denoiselab import (
     DataMatrix,
     DistillConfig,
     GaussianDenoiser,
+    GaussianStats,
     MultiDeltaDenoiser,
     closed_form_linear,
     distill_linear,
@@ -16,6 +17,7 @@ from denoiselab import (
     train_linear_dsm,
     weight_nmse,
 )
+from denoiselab.distillation import MAX_DENSE_DIM
 from denoiselab.errors import DivergenceError, FormatError, ValueRangeError
 from denoiselab.synth import gaussian_dataset
 
@@ -206,3 +208,16 @@ def test_affine_checkpoint_errors(tmp_path):
     short.write_bytes(b"AFF1" + struct.pack("<I", 4) + struct.pack("<d", 1.0) + bytes(8))
     with pytest.raises(Exception):
         load_affine(short)
+
+
+def test_dense_cap_refuses_one_past_max_dim():
+    d = MAX_DENSE_DIM + 1
+    X = DataMatrix(np.zeros((2, d)))
+    stats = GaussianStats(mean=np.zeros(d), basis=np.eye(d, 1), eigvals=np.ones(1))
+    cfg = DistillConfig(steps=1, batch=1, lr=0.0, seed=0)
+    with pytest.raises(ValueRangeError, match="desk-scale cap"):
+        closed_form_linear(stats, 1.0)
+    with pytest.raises(ValueRangeError, match="desk-scale cap"):
+        distill_linear(MultiDeltaDenoiser(X), X, 1.0, cfg)
+    with pytest.raises(ValueRangeError, match="desk-scale cap"):
+        train_linear_dsm(X, 1.0, cfg)

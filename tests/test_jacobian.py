@@ -20,6 +20,7 @@ from denoiselab import (
     read_raw_f64,
     singular_vector_correlation,
 )
+from denoiselab.distillation import MAX_DENSE_DIM
 from denoiselab.errors import ValueRangeError
 from denoiselab.jacobian import save_jacobian_report
 
@@ -141,3 +142,10 @@ def test_report_validation_and_export(tmp_path, rng):
     left = read_raw_f64(tmp_path / meta["left_file"])
     assert left.shape == (3, 8)
     assert np.allclose(left, report.left.T)
+
+
+def test_jacobian_refuses_one_past_max_dense_dim():
+    d = MAX_DENSE_DIM + 1
+    den = MultiDeltaDenoiser(DataMatrix(np.zeros((1, d))))
+    with pytest.raises(ValueRangeError, match="desk-scale cap"):
+        jacobian_fd(den, np.zeros(d), 1.0)

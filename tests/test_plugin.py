@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from denoiselab import (
+    Denoiser,
     ExternalDenoiser,
     GaussianDenoiser,
     empirical_stats,
@@ -144,3 +145,24 @@ def test_serve_plugin_rejects_garbage():
     assert serve_plugin(lambda b, s: b, 2, stdin=bad, stdout=io.BytesIO()) == 2
     eof = io.BytesIO(b"DNP1" + struct.pack("<I", 2))
     assert serve_plugin(lambda b, s: b, 2, stdin=eof, stdout=io.BytesIO()) == 1
+
+
+def test_external_denoiser_is_a_denoiser():
+    with ExternalDenoiser(ECHO, dim=3) as plugin:
+        assert isinstance(plugin, Denoiser)
+        assert "evaluate" not in vars(ExternalDenoiser)
+
+
+def test_serve_plugin_rejects_wrong_result_shape():
+    dim = 3
+    request = io.BytesIO()
+    request.write(b"DNP1" + struct.pack("<I", dim))
+    request.write(struct.pack("<BId", 0x01, 2, 0.5) + np.zeros((2, dim)).tobytes())
+    request.write(struct.pack("<B", 0xFF))
+    request.seek(0)
+    reply = io.BytesIO()
+    code = serve_plugin(lambda batch, sigma: batch[:, :2], dim,
+                        stdin=request, stdout=reply)
+    assert code == 2
+    # only the handshake was written: no header and no partial payload
+    assert reply.getvalue() == b"DNP1" + struct.pack("<I", dim)
