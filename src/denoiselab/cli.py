@@ -1,9 +1,11 @@
 """Command-line surface for reproducible desk-scale experiments.
 
-Every subcommand resolves its settings from flags (optionally over a JSON
-config whose keys mirror the flag names; flags win), writes its outputs plus
-a ``manifest.json`` recording the resolved flags, seed, and file-format
-versions, and exits with a stable code:
+``build_parser`` declares every flag once, with its type, choices and
+default. A ``--config`` JSON file is read as the flags it names: they are put
+after the subcommand and before the command-line flags, so argparse converts
+and checks them as it does typed flags, and flags win. Every subcommand
+writes its outputs plus a ``manifest.json`` recording the resolved flags,
+seed, and file-format versions, and exits with a stable code:
 
   0 success, 1 verification failure, 2 usage error, 3 I/O error,
   4 plugin protocol error.
@@ -66,39 +68,44 @@ FORMAT_VERSIONS = {
     "manifest": 1,
 }
 
-_SCHEDULE_DEFAULTS = {"sigma_min": 0.002, "sigma_max": 80.0, "rho": 7.0, "steps": 10}
+#: namespace entries that are not flags a manifest records
+_NOT_FLAGS = ("func", "subcommand", "config")
 
 
 class UsageError(Exception):
     """Bad flag combination; maps to exit code 2."""
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, optional JSON config, and explicit flags (flags win).
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The flags a ``--config`` file names, as command-line tokens.
 
-    The config holds flags of the subcommand, or is a manifest of the same one.
+    The file holds flags of the subcommand, or is a manifest of the same one.
+    ``true`` is the bare flag, ``false`` and ``null`` leave a flag unset, a
+    list is comma-joined, and any other value is the one token
+    ``--flag=value`` (so a value starting with ``-`` is not an option).
     """
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        loaded = json.loads(Path(config_path).read_text())
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config {config_path} is not a JSON object")
-        if isinstance(loaded.get("flags"), dict):  # accept a manifest directly
-            if loaded.get("subcommand") != args.subcommand:
-                raise UsageError(f"config {config_path} is a {loaded.get('subcommand')!r} "
-                                 f"manifest, not {args.subcommand!r}")
-            loaded = loaded["flags"]
-        unknown = sorted(set(loaded) - set(defaults))
-        if unknown:
-            raise UsageError(f"config {config_path} has keys that are not "
-                             f"{args.subcommand} flags: {', '.join(unknown)}")
-        resolved.update(loaded)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+    loaded = json.loads(Path(args.config).read_text())
+    if not isinstance(loaded, dict):
+        raise UsageError(f"config {args.config} is not a JSON object")
+    if isinstance(loaded.get("flags"), dict):  # accept a manifest directly
+        if loaded.get("subcommand") != args.subcommand:
+            raise UsageError(f"config {args.config} is a {loaded.get('subcommand')!r} "
+                             f"manifest, not {args.subcommand!r}")
+        loaded = loaded["flags"]
+    unknown = sorted(set(loaded) - (set(vars(args)) - set(_NOT_FLAGS)))
+    if unknown:
+        raise UsageError(f"config {args.config} has keys that are not "
+                         f"{args.subcommand} flags: {', '.join(unknown)}")
+    tokens = []
+    for key, value in loaded.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, list):
+            tokens.append(f"{flag}={','.join(map(str, value))}")
+        elif value is not False and value is not None:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _outdir(resolved: dict) -> Path:
@@ -123,14 +130,14 @@ def _write_manifest(outdir: Path, subcommand: str, flags: dict, outputs: list[st
 
 
 def _load_data(resolved: dict):
-    if not resolved.get("data"):
+    if not resolved["data"]:
         return None
-    return load_dataset(resolved["data"], resolved.get("format", "csv"))
+    return load_dataset(resolved["data"], resolved["format"])
 
 
 def _schedule(resolved: dict):
     return edm_schedule(resolved["sigma_min"], resolved["sigma_max"],
-                        resolved["rho"], int(resolved["steps"]))
+                        resolved["rho"], resolved["steps"])
 
 
 def _build_denoiser(spec: str, data, stack: contextlib.ExitStack, dim: int | None = None):
@@ -160,24 +167,28 @@ def _build_denoiser(spec: str, data, stack: contextlib.ExitStack, dim: int | Non
             dim = data.dim if data is not None else None
         if dim is None:
             raise UsageError("external denoiser needs --data or --dim for its dimension")
-        return stack.enter_context(ExternalDenoiser(command, dim=int(dim)))
+        return stack.enter_context(ExternalDenoiser(command, dim=dim))
     raise UsageError(f"unknown denoiser spec {spec!r}")
 
 
 def _add_common(parser: argparse.ArgumentParser, schedule: bool = False) -> None:
-    parser.add_argument("--config", help="JSON config whose keys mirror the flags")
+    parser.add_argument("--config", help="JSON file (or manifest.json) whose keys are "
+                        "read as the flags they name; null means unset, flags win")
     parser.add_argument("--out", help="output directory (default $DENOISELAB_OUT or .)")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seed", type=int, default=0)
     if schedule:
-        parser.add_argument("--sigma-min", dest="sigma_min", type=float)
-        parser.add_argument("--sigma-max", dest="sigma_max", type=float)
-        parser.add_argument("--rho", type=float)
-        parser.add_argument("--steps", type=int)
+        parser.add_argument("--sigma-min", type=float, default=0.002)
+        parser.add_argument("--sigma-max", type=float, default=80.0)
+        parser.add_argument("--rho", type=float, default=7.0)
+        parser.add_argument("--steps", type=int, default=10)
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    defaults = {"data": None, "format": "csv", "out": None, "seed": 0}
-    resolved = _resolve(args, defaults)
+def _add_data(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--data")
+    parser.add_argument("--format", choices=["csv", "raw-f64", "pgm-dir"], default="csv")
+
+
+def cmd_stats(resolved: dict) -> int:
     if not resolved["data"]:
         raise UsageError("stats needs --data")
     outdir = _outdir(resolved)
@@ -192,12 +203,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    defaults = {"data": None, "format": "csv", "denoiser": "gaussian", "count": 1,
-                "seed": 0, "oracle": False, "raw": False, "dim": None, "out": None,
-                **_SCHEDULE_DEFAULTS}
-    resolved = _resolve(args, defaults)
-    if int(resolved["count"]) < 1:
+def cmd_sample(resolved: dict) -> int:
+    if resolved["count"] < 1:
         raise UsageError(f"count must be at least 1, got {resolved['count']}")
     outdir = _outdir(resolved)
     data = _load_data(resolved)
@@ -208,11 +215,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if resolved["oracle"] and resolved["denoiser"] != "gaussian":
             raise UsageError("--oracle only applies to the gaussian denoiser")
         stats = empirical_stats(data) if resolved["oracle"] else None
-        count = int(resolved["count"])
-        finals = np.empty((count, den.dim))
+        finals = np.empty((resolved["count"], den.dim))
         oracle_gap = 0.0
-        for i in range(count):
-            rng = np.random.default_rng([int(resolved["seed"]), i])
+        for i in range(resolved["count"]):
+            rng = np.random.default_rng([resolved["seed"], i])
             x_T = resolved["sigma_max"] * rng.standard_normal(den.dim)
             traj = ode_sample(den, schedule, x_T)
             finals[i] = traj.final
@@ -243,24 +249,17 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_sigmas(raw) -> list[float]:
-    if isinstance(raw, (list, tuple)):
-        values = [float(v) for v in raw]
-    else:
-        try:
-            values = [float(tok) for tok in str(raw).split(",") if tok.strip()]
-        except ValueError as exc:
-            raise UsageError(f"unparseable sigma list {raw!r}") from exc
+def _parse_sigmas(raw: str) -> list[float]:
+    try:
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise UsageError(f"unparseable sigma list {raw!r}") from exc
     if not values or any(v <= 0 for v in values):
         raise UsageError(f"sigma list must hold positive values, got {raw!r}")
     return values
 
 
-def cmd_distill(args: argparse.Namespace) -> int:
-    defaults = {"data": None, "format": "csv", "teacher": "multi-delta",
-                "sigmas": "1.0", "steps": 6000, "batch": 64, "lr": 5e-3,
-                "seed": 0, "dim": None, "out": None}
-    resolved = _resolve(args, defaults)
+def cmd_distill(resolved: dict) -> int:
     if not resolved["data"]:
         raise UsageError("distill needs --data")
     outdir = _outdir(resolved)
@@ -272,8 +271,8 @@ def cmd_distill(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         teacher = _build_denoiser(resolved["teacher"], data, stack, resolved["dim"])
         for sigma in sigmas:
-            cfg = DistillConfig(steps=int(resolved["steps"]), batch=int(resolved["batch"]),
-                                lr=float(resolved["lr"]), seed=int(resolved["seed"]))
+            cfg = DistillConfig(steps=resolved["steps"], batch=resolved["batch"],
+                                lr=resolved["lr"], seed=resolved["seed"])
             fitted, losses = distill_linear(teacher, data, sigma, cfg)
             tag = f"{sigma:g}"
             save_affine(fitted, outdir / f"affine_sigma{tag}.aff1")
@@ -292,20 +291,13 @@ def cmd_distill(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    defaults = {"data": None, "format": "csv", "metric": "linearity",
-                "denoiser": "gaussian", "denoiser2": None, "variant": None,
-                "n": 100, "seed": 0, "alpha": 1.0 / np.sqrt(2.0),
-                "beta": 1.0 / np.sqrt(2.0), "svg": False, "dim": None,
-                "out": None, **_SCHEDULE_DEFAULTS}
-    resolved = _resolve(args, defaults)
+def cmd_metrics(resolved: dict) -> int:
     if not resolved["data"]:
         raise UsageError("metrics needs --data")
     outdir = _outdir(resolved)
     data = _load_data(resolved)
     schedule = _schedule(resolved)
-    n = int(resolved["n"])
-    seed = int(resolved["seed"])
+    n, seed = resolved["n"], resolved["seed"]
     with contextlib.ExitStack() as stack:
         den = _build_denoiser(resolved["denoiser"], data, stack, resolved["dim"])
         if resolved["metric"] == "linearity":
@@ -315,7 +307,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                     den, data, sigma, resolved["alpha"], resolved["beta"],
                     n_pairs=n, seed=s, variant=variant),
                 schedule, master_seed=seed, name=f"linearity-{variant}", n_samples=n)
-        elif resolved["metric"] == "score-diff":
+        else:
             if not resolved["denoiser2"]:
                 raise UsageError("metric 'score-diff' needs --denoiser2")
             den2 = _build_denoiser(resolved["denoiser2"], data, stack, resolved["dim"])
@@ -324,8 +316,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                 lambda sigma, s: score_diff(den, den2, data, sigma, n=n, seed=s,
                                             variant=variant),
                 schedule, master_seed=seed, name=f"score-diff-{variant}", n_samples=n)
-        else:
-            raise UsageError(f"unknown metric {resolved['metric']!r}")
     outputs = ["series.csv", "series.json"]
     series_to_csv(series, outdir / "series.csv")
     series_to_json(series, outdir / "series.json")
@@ -336,23 +326,15 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    defaults = {"suite": None, "seed": 0, "dim": None, "tolerance": None,
-                "n_samples": None, "n_seeds": None, "n_starts": None,
-                "steps": None, "out": None}
-    resolved = _resolve(args, defaults)
-    suite = resolved["suite"]
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+def cmd_verify(resolved: dict) -> int:
+    if resolved["suite"] is None:
+        raise UsageError("verify needs --suite")
     if resolved["tolerance"] is not None and resolved["tolerance"] <= 0:
         raise UsageError(f"tolerance must be positive, got {resolved['tolerance']}")
-    fn = SUITES[suite]
+    fn = SUITES[resolved["suite"]]
     accepted = inspect.signature(fn).parameters
-    kwargs = {"seed": int(resolved["seed"])}
-    for key in ("dim", "tolerance", "n_samples", "n_seeds", "n_starts", "steps"):
-        if resolved[key] is not None and key in accepted:
-            kwargs[key] = resolved[key]
-    results = fn(**kwargs)
+    results = fn(**{key: value for key, value in resolved.items()
+                    if value is not None and key in accepted})
     for r in results:
         print(r.line())
     if resolved["out"]:
@@ -371,48 +353,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("stats", help="empirical mean/eigendecomposition artifacts")
-    p.add_argument("--data")
-    p.add_argument("--format", choices=["csv", "raw-f64", "pgm-dir"])
+    _add_data(p)
     _add_common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("sample", help="probability-flow ODE sampling")
-    p.add_argument("--data")
-    p.add_argument("--format", choices=["csv", "raw-f64", "pgm-dir"])
-    p.add_argument("--denoiser")
-    p.add_argument("--count", type=int)
+    _add_data(p)
+    p.add_argument("--denoiser", default="gaussian")
+    p.add_argument("--count", type=int, default=1)
     p.add_argument("--dim", type=int)
-    p.add_argument("--oracle", action="store_const", const=True,
+    p.add_argument("--oracle", action="store_true",
                    help="also emit the closed-form trajectories (gaussian only)")
-    p.add_argument("--raw", action="store_const", const=True,
+    p.add_argument("--raw", action="store_true",
                    help="also write finals as a raw-f64 container")
     _add_common(p, schedule=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("distill", help="linear distillation of a teacher denoiser")
-    p.add_argument("--data")
-    p.add_argument("--format", choices=["csv", "raw-f64", "pgm-dir"])
-    p.add_argument("--teacher")
-    p.add_argument("--sigmas", help="comma-separated noise levels")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
+    _add_data(p)
+    p.add_argument("--teacher", default="multi-delta")
+    p.add_argument("--sigmas", default="1.0", help="comma-separated noise levels")
+    p.add_argument("--steps", type=int, default=6000)
+    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--lr", type=float, default=5e-3)
     p.add_argument("--dim", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("metrics", help="per-sigma metric sweeps")
-    p.add_argument("--data")
-    p.add_argument("--format", choices=["csv", "raw-f64", "pgm-dir"])
-    p.add_argument("--metric", choices=["linearity", "score-diff"])
-    p.add_argument("--denoiser")
+    _add_data(p)
+    p.add_argument("--metric", choices=["linearity", "score-diff"], default="linearity")
+    p.add_argument("--denoiser", default="gaussian")
     p.add_argument("--denoiser2")
     p.add_argument("--variant", choices=["cosine", "nmse", "rmse"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--alpha", type=float, default=1.0 / np.sqrt(2.0))
+    p.add_argument("--beta", type=float, default=1.0 / np.sqrt(2.0))
     p.add_argument("--dim", type=int)
-    p.add_argument("--svg", action="store_const", const=True)
+    p.add_argument("--svg", action="store_true")
     _add_common(p, schedule=True)
     p.set_defaults(func=cmd_metrics)
 
@@ -420,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SUITES))
     p.add_argument("--dim", type=int)
     p.add_argument("--tolerance", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--n-seeds", dest="n_seeds", type=int)
-    p.add_argument("--n-starts", dest="n_starts", type=int)
+    p.add_argument("--n-samples", type=int)
+    p.add_argument("--n-seeds", type=int)
+    p.add_argument("--n-starts", type=int)
     p.add_argument("--steps", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -431,9 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.config:  # argv[0] is the subcommand: the top level has no other flag
+            args = parser.parse_args(argv[:1] + _config_argv(args) + argv[1:])
+        return args.func({k: v for k, v in vars(args).items() if k not in _NOT_FLAGS})
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

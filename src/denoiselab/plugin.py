@@ -45,7 +45,9 @@ class ExternalDenoiser(Denoiser):
 
     ``command`` is the child's argv list; ``dim`` is the expected data
     dimension, confirmed during the handshake. ``timeout`` (seconds) bounds
-    every read. Each ``evaluate_batch`` call is one round trip.
+    every wait to read or write; a write that times out kills the child,
+    since the stream is then desynchronised. Each ``evaluate_batch`` call is
+    one round trip.
     """
 
     def __init__(self, command: list[str], dim: int, timeout: float = 30.0):
@@ -53,6 +55,7 @@ class ExternalDenoiser(Denoiser):
         self.timeout = timeout
         self._proc = subprocess.Popen(
             command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        os.set_blocking(self._proc.stdin.fileno(), False)
         try:
             self._write(PLUGIN_MAGIC + struct.pack("<I", dim))
             reply = self._read(8)
@@ -70,12 +73,19 @@ class ExternalDenoiser(Denoiser):
                 f"plugin serves dimension {child_dim}, expected {dim}")
 
     def _write(self, data: bytes) -> None:
-        try:
-            self._proc.stdin.write(data)
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise PluginExitError(
-                f"plugin exited (code {self._proc.poll()}) while writing") from exc
+        fd = self._proc.stdin.fileno()
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[os.write(fd, view):]
+            except BlockingIOError:
+                if not select.select([], [fd], [], self.timeout)[1]:
+                    self._kill()
+                    raise PluginTimeoutError(
+                        f"plugin read no request bytes within {self.timeout}s") from None
+            except OSError as exc:
+                raise PluginExitError(
+                    f"plugin exited (code {self._proc.poll()}) while writing") from exc
 
     def _read(self, n: int) -> bytes:
         fd = self._proc.stdout.fileno()
@@ -116,7 +126,7 @@ class ExternalDenoiser(Denoiser):
             try:
                 self._write(struct.pack("<B", TAG_SHUTDOWN))
                 self._proc.stdin.close()
-            except PluginExitError:
+            except (PluginExitError, PluginTimeoutError):
                 pass
             try:
                 self._proc.wait(timeout=self.timeout)

@@ -1,11 +1,15 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import denoiselab
 from denoiselab import load_affine, read_raw_f64
 from denoiselab.cli import main
 from denoiselab.verify import SUITES
@@ -292,3 +296,81 @@ def test_manifest_of_another_subcommand_is_usage_error(tmp_path, cluster_csv, ca
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "'stats' manifest, not 'sample'" in capsys.readouterr().err
+
+
+def _run_cli(argv: list[str], capsys) -> tuple[int, str]:
+    """Exit code and stderr of one run; argparse rejects a flag by SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, config, flags, recorded", [
+    ("sample", {"count": "2"}, ["--count", "2"], 2),
+    ("sample", {"steps": "abc"}, ["--steps", "abc"], None),
+    ("sample", {"count": 2.5}, ["--count", "2.5"], None),
+    ("sample", {"format": "xls"}, ["--format", "xls"], None),
+    ("sample", {"oracle": "yes"}, ["--oracle=yes"], None),
+    ("metrics", {"metric": "bogus"}, ["--metric", "bogus"], None),
+    ("distill", {"sigmas": [0.5, 1]}, ["--sigmas", "0.5,1"], "0.5,1"),
+    ("sample", {"seed": None}, [], 0),
+])
+def test_config_values_are_read_as_flags(tmp_path, cluster_csv, capsys,
+                                         subcommand, config, flags, recorded):
+    # a config value behaves exactly as the same value given as a flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    base = [subcommand, "--data", cluster_csv]
+    if subcommand == "distill":
+        base += ["--steps", "100", "--batch", "8"]
+    by_config, by_flags = tmp_path / "out-config", tmp_path / "out-flags"
+    result = _run_cli(base + ["--config", str(cfg), "--out", str(by_config)], capsys)
+    assert result == _run_cli(base + flags + ["--out", str(by_flags)], capsys)
+    (key,) = config
+    code, err = result
+    if recorded is None:
+        assert code == 2 and f"argument --{key}:" in err
+        assert not by_config.exists() and not by_flags.exists()
+        return
+    assert code == 0
+    a, b = _read_all(by_config), _read_all(by_flags)
+    a["manifest.json"] = a["manifest.json"].replace(str(by_config).encode(), b"OUT")
+    b["manifest.json"] = b["manifest.json"].replace(str(by_flags).encode(), b"OUT")
+    assert a == b
+    assert json.loads(a["manifest.json"])["flags"][key] == recorded
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats"],
+    ["distill", "--sigmas", "0.5,2", "--steps", "100", "--batch", "8", "--seed", "4"],
+    ["metrics", "--metric", "score-diff", "--denoiser", "multi-delta",
+     "--denoiser2", "gaussian", "--variant", "nmse", "--n", "10", "--svg"],
+    ["verify", "--suite", "memorize", "--n-starts", "5"],
+])
+def test_manifest_replay_into_its_own_directory_is_byte_identical(
+        tmp_path, cluster_csv, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] != "verify":
+        argv = argv + ["--data", cluster_csv]
+    code = main(argv + ["--out", str(out)])
+    first = _read_all(out)
+    assert "manifest.json" in first
+    assert main([argv[0], "--config", str(out / "manifest.json")]) == code
+    assert _read_all(out) == first
+
+
+def test_bad_config_value_exits_2_without_traceback(tmp_path, cluster_csv):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"steps": "abc"}))
+    src = str(Path(denoiselab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "denoiselab", "sample", "--data", cluster_csv,
+         "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "argument --steps: invalid int value: 'abc'" in proc.stderr

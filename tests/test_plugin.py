@@ -1,6 +1,7 @@
 import io
 import struct
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +95,24 @@ def test_timeout_detected():
     with pytest.raises(PluginTimeoutError):
         plugin.evaluate_batch(np.zeros((1, 2)), 1.0)
     plugin._kill()
+
+
+def test_write_to_a_child_that_stops_reading_times_out():
+    script = (
+        "import sys, time\n"
+        "data = sys.stdin.buffer.read(8)\n"
+        "sys.stdout.buffer.write(data)\n"
+        "sys.stdout.buffer.flush()\n"
+        "time.sleep(60)\n"
+    )
+    plugin = ExternalDenoiser(_child(script), dim=128, timeout=1.0)
+    batch = np.zeros((256, 128))  # a 256 KiB request, four times the pipe buffer
+    start = time.monotonic()
+    with pytest.raises(PluginTimeoutError):
+        plugin.evaluate_batch(batch, 1.0)
+    assert time.monotonic() - start < plugin.timeout + 2.0
+    # the stream is desynchronised, so the child is killed at once
+    assert plugin._proc.poll() is not None
 
 
 def test_wrong_row_count_reported_as_dimension_mismatch():
