@@ -262,19 +262,23 @@ def _parse_sigmas(raw: str) -> list[float]:
 def cmd_distill(resolved: dict) -> int:
     if not resolved["data"]:
         raise UsageError("distill needs --data")
+    sigmas = _parse_sigmas(resolved["sigmas"])
+    tags = [f"{sigma:g}" for sigma in sigmas]  # names each sigma's files
+    clash = next((tag for tag in tags if tags.count(tag) > 1), None)
+    if clash is not None:
+        same = ", ".join(repr(s) for s, tag in zip(sigmas, tags) if tag == clash)
+        raise UsageError(f"sigmas {same} would all write the files of sigma{clash}")
     outdir = _outdir(resolved)
     data = _load_data(resolved)
     stats = empirical_stats(data)
-    sigmas = _parse_sigmas(resolved["sigmas"])
     outputs = []
     report = {}
     with contextlib.ExitStack() as stack:
         teacher = _build_denoiser(resolved["teacher"], data, stack, resolved["dim"])
-        for sigma in sigmas:
+        for sigma, tag in zip(sigmas, tags):
             cfg = DistillConfig(steps=resolved["steps"], batch=resolved["batch"],
                                 lr=resolved["lr"], seed=resolved["seed"])
             fitted, losses = distill_linear(teacher, data, sigma, cfg)
-            tag = f"{sigma:g}"
             save_affine(fitted, outdir / f"affine_sigma{tag}.aff1")
             losses_to_csv(losses, outdir / f"loss_sigma{tag}.csv")
             outputs += [f"affine_sigma{tag}.aff1", f"loss_sigma{tag}.csv"]

@@ -5,6 +5,20 @@ mapping) can tell them apart.
 """
 
 
+def annotate(exc: BaseException, where: str, **attrs) -> None:
+    """Record where ``exc`` happened on the exception itself.
+
+    ``attrs`` (such as ``step`` and ``sigma``) become attributes. An exception
+    with at most one argument also gets ``where`` prefixed to its message;
+    structured arguments, such as an OSError's errno and strerror, stay as
+    they are, because ``str`` of such an error ignores rewritten arguments.
+    """
+    for name, value in attrs.items():
+        setattr(exc, name, value)
+    if len(exc.args) <= 1:
+        exc.args = (f"{where}: {exc}",)
+
+
 class ToolkitError(Exception):
     """Base class for all toolkit errors."""
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import DataMatrix, noisy_rows, squared_distances
 from .denoisers import Denoiser
-from .errors import DimensionMismatchError, ValueRangeError
+from .errors import DimensionMismatchError, ValueRangeError, annotate
 from .sampler import SigmaSchedule
 
 
@@ -188,15 +188,15 @@ def metric_sweep(metric: Callable[[float, int], float | MetricValue],
     """Evaluate ``metric(sigma, seed)`` at every schedule level.
 
     Each level gets its own derived seed so the sweep is reproducible and
-    levels are independent. Errors propagate annotated with the failing
-    sigma.
+    levels are independent. Errors propagate with the failing level set as
+    a ``sigma`` attribute on the exception (see ``errors.annotate``).
     """
     values = []
     for i, sigma in enumerate(schedule.values):
         try:
             v = metric(float(sigma), level_seed(master_seed, i))
         except Exception as exc:
-            exc.args = (f"metric {name!r} failed at sigma={sigma}: {exc}",)
+            annotate(exc, f"metric {name!r} failed at sigma={sigma}", sigma=float(sigma))
             raise
         values.append(float(getattr(v, "value", v)))
     return MetricSeries(name=name, sigmas=tuple(float(s) for s in schedule.values),

@@ -10,6 +10,12 @@ class Adam:
 
     Defaults beta1=0.9, beta2=0.999, eps=1e-8. ``step`` updates the parameter
     arrays in place, so callers own them exclusively while training.
+
+    The moments of all arrays live in one flat buffer each, and ``step``
+    works on whole buffers with preallocated work arrays. Every element sees the
+    operations of the textbook per-array form in the same order,
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
+    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``, so results are bitwise equal to it.
     """
 
     def __init__(self, params: list[np.ndarray], lr: float, beta1: float = 0.9,
@@ -20,14 +26,31 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        size = sum(p.size for p in params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._grad = np.empty(size)
+        self._update = np.empty(size)
+        ends = np.cumsum([p.size for p in params])
+        self._update_views = [self._update[end - p.size:end].reshape(p.shape)
+                              for p, end in zip(params, ends)]
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g**2
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, g, u = self.beta1, self.beta2, self._grad, self._update
+        np.concatenate(grads, axis=None, out=g)
+        self.m *= b1
+        np.multiply(g, 1 - b1, out=u)
+        self.m += u
+        self.v *= b2
+        np.square(g, out=u)
+        u *= 1 - b2
+        self.v += u
+        np.divide(self.m, 1 - b1**self.t, out=u)  # m_hat
+        u *= self.lr
+        np.divide(self.v, 1 - b2**self.t, out=g)  # v_hat
+        np.sqrt(g, out=g)
+        g += self.eps
+        u /= g
+        for p, du in zip(self.params, self._update_views):
+            p -= du

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import GaussianStats, write_raw_f64
 from .denoisers import Denoiser
-from .errors import DimensionMismatchError, ValueRangeError
+from .errors import DimensionMismatchError, ValueRangeError, annotate
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,8 @@ def ode_sample(D: Denoiser, schedule: SigmaSchedule, x_T: np.ndarray) -> Traject
     """Integrate the reverse ODE with first-order (Euler) steps.
 
     The terminal step to level 0 returns D evaluated at the last positive
-    level. Denoiser failures propagate annotated with the step and sigma.
+    level. A denoiser failure propagates with ``step`` and ``sigma``
+    attributes set on the exception (see ``errors.annotate``).
     """
     x_T = np.asarray(x_T, dtype=np.float64)
     if x_T.shape != (D.dim,):
@@ -119,7 +120,7 @@ def ode_sample(D: Denoiser, schedule: SigmaSchedule, x_T: np.ndarray) -> Traject
         try:
             denoised = D.evaluate(x, float(t))
         except Exception as exc:
-            exc.args = (f"denoiser failed at step {i} (sigma={t}): {exc}",)
+            annotate(exc, f"denoiser failed at step {i} (sigma={t})", step=i, sigma=float(t))
             raise
         ratio = t_next / t
         x = ratio * x + (1.0 - ratio) * denoised if t_next > 0 else denoised

@@ -87,14 +87,46 @@ class ToyDenoiser(Denoiser):
             raise ValueRangeError(f"toy denoiser needs sigma > 0, got {sigma}")
         W1, b1, W2, b2, W3, b3 = self.params
         a0 = np.concatenate([X, np.full((X.shape[0], 1), np.log(sigma))], axis=1)
-        a1 = np.tanh(a0 @ W1 + b1)
-        a2 = np.tanh(a1 @ W2 + b2)
-        F = a2 @ W3 + b3
+        a1 = a0 @ W1
+        a1 += b1
+        np.tanh(a1, out=a1)
+        a2 = a1 @ W2
+        a2 += b2
+        np.tanh(a2, out=a2)
+        F = a2 @ W3
+        F += b3
         if self.mode == "skip":
             out = self.c_skip(sigma) * X + self.c_out(sigma) * F
         else:
             out = F
         return out, (a0, a1, a2)
+
+    def _backward(self, out: np.ndarray, cache: tuple, target: np.ndarray,
+                  sigma: float) -> tuple[float, list[np.ndarray]]:
+        """Loss and gradients over the first ``len(target)`` rows of a forward pass.
+
+        Rows past them (held-out rows sharing the pass) are ignored. The
+        cached activations of the used rows are overwritten.
+        """
+        n = len(target)
+        a0, a1, a2 = (a[:n] for a in cache)
+        _, _, W2, _, W3, _ = self.params
+        d_F = out[:n] - target
+        loss = _mean_sq(d_F)
+        d_F *= 2.0 / n  # d loss / d out
+        if self.mode == "skip":
+            d_F *= self.c_out(sigma)
+        g_W3 = a2.T @ d_F
+        g_b3 = d_F.sum(axis=0)
+        d_z2 = d_F @ W3.T
+        d_z2 *= _one_minus_square(a2)
+        g_W2 = a1.T @ d_z2
+        g_b2 = d_z2.sum(axis=0)
+        d_z1 = d_z2 @ W2.T
+        d_z1 *= _one_minus_square(a1)
+        g_W1 = a0.T @ d_z1
+        g_b1 = d_z1.sum(axis=0)
+        return loss, [g_W1, g_b1, g_W2, g_b2, g_W3, g_b3]
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
         X = self._check_input(X)
@@ -103,31 +135,24 @@ class ToyDenoiser(Denoiser):
     def loss(self, noisy: np.ndarray, target: np.ndarray, sigma: float) -> float:
         """Mean over the batch of the squared denoising error."""
         out, _ = self._forward(np.asarray(noisy, dtype=np.float64), sigma)
-        return float(((out - target) ** 2).sum(axis=1).mean())
+        return _mean_sq(out - target)
 
     def loss_grads(self, noisy: np.ndarray, target: np.ndarray,
                    sigma: float) -> tuple[float, list[np.ndarray]]:
         """Loss plus analytic gradients in parameter order W1,b1,W2,b2,W3,b3."""
-        noisy = np.asarray(noisy, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
-        W1, b1, W2, b2, W3, b3 = self.params
-        out, (a0, a1, a2) = self._forward(noisy, sigma)
-        n = noisy.shape[0]
-        diff = out - target
-        loss = float((diff**2).sum(axis=1).mean())
-        d_out = 2.0 / n * diff
-        d_F = d_out * (self.c_out(sigma) if self.mode == "skip" else 1.0)
-        g_W3 = a2.T @ d_F
-        g_b3 = d_F.sum(axis=0)
-        d_a2 = d_F @ W3.T
-        d_z2 = d_a2 * (1.0 - a2**2)
-        g_W2 = a1.T @ d_z2
-        g_b2 = d_z2.sum(axis=0)
-        d_a1 = d_z2 @ W2.T
-        d_z1 = d_a1 * (1.0 - a1**2)
-        g_W1 = a0.T @ d_z1
-        g_b1 = d_z1.sum(axis=0)
-        return loss, [g_W1, g_b1, g_W2, g_b2, g_W3, g_b3]
+        out, cache = self._forward(np.asarray(noisy, dtype=np.float64), sigma)
+        return self._backward(out, cache, np.asarray(target, dtype=np.float64), sigma)
+
+
+def _mean_sq(diff: np.ndarray) -> float:
+    """Mean over rows of the squared row norms."""
+    return float((diff**2).sum(axis=1).mean())
+
+
+def _one_minus_square(a: np.ndarray) -> np.ndarray:
+    """tanh'(z) = 1 - a^2 from the activation a = tanh(z), written over a."""
+    np.square(a, out=a)
+    return np.subtract(1.0, a, out=a)
 
 
 def init_toy(seed: int, dim: int, hidden: int, mode: str = "dae",
@@ -149,7 +174,10 @@ class TrainResult:
     """Trained model, per-step training losses, and the validation curve.
 
     The validation curve re-evaluates one fixed held-out batch of noisy/clean
-    pairs at every step, so it is exactly constant when nothing trains.
+    pairs at every step, so it is exactly constant when nothing trains. The
+    held-out rows share each step's training forward pass, stacked below the
+    training batch, so ``val_losses[k]`` is the loss at the parameters before
+    step k; one last pass after training gives ``val_losses[steps]``.
     ``diverged`` is set when the final validation loss exceeds the initial one.
     """
 
@@ -185,15 +213,16 @@ def train_toy(model: ToyDenoiser, X: DataMatrix, sigma: float, steps: int,
     opt = Adam(model.params, lr=lr)
     losses = np.empty(steps)
     val_losses = np.empty(steps + 1)
-    val_losses[0] = model.loss(val_noisy, val_rows, sigma)
     for k in range(steps):
         rows, noisy = noisy_rows(X, sigma, batch, rng)
-        loss, grads = model.loss_grads(noisy, rows, sigma)
+        out, cache = model._forward(np.concatenate([noisy, val_noisy]), sigma)
+        val_losses[k] = _mean_sq(out[batch:] - val_rows)
+        loss, grads = model._backward(out, cache, rows, sigma)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss at step {k}", step=k)
         losses[k] = loss
         opt.step(grads)
-        val_losses[k + 1] = model.loss(val_noisy, val_rows, sigma)
+    val_losses[steps] = model.loss(val_noisy, val_rows, sigma)
     return TrainResult(model=model, losses=losses, val_losses=val_losses)
 
 

@@ -36,3 +36,13 @@ def write_csv(path, rows):
         for row in np.atleast_2d(rows):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return path
+
+
+def textbook_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step (Kingma & Ba, Alg. 1) array by array; ``m``/``v`` are lists."""
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = beta1 * m[i] + (1 - beta1) * g
+        v[i] = beta2 * v[i] + (1 - beta2) * g**2
+        m_hat = m[i] / (1 - beta1**t)
+        v_hat = v[i] / (1 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)

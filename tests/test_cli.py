@@ -138,6 +138,28 @@ def test_distill_report_and_checkpoint_roundtrip(tmp_path, cluster_csv):
     assert last_loss < first_loss
 
 
+def test_distill_sigmas_that_share_a_file_name_exit_2(tmp_path, cluster_csv, capsys):
+    out = tmp_path / "out"
+    code = main(["distill", "--data", cluster_csv, "--sigmas", "1,1.0",
+                 "--steps", "10", "--out", str(out)])
+    assert code == 2
+    assert "sigmas 1.0, 1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_distill_distinct_sigmas_name_one_file_each(tmp_path, cluster_csv):
+    out = tmp_path / "out"
+    code = main(["distill", "--data", cluster_csv, "--sigmas", "0.5,1,4",
+                 "--steps", "10", "--out", str(out)])
+    assert code == 0
+    tags = ["0.5", "1", "4"]
+    names = sorted([f"affine_sigma{t}.aff1" for t in tags]
+                   + [f"loss_sigma{t}.csv" for t in tags] + ["report.json"])
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == names
+    assert sorted(json.loads((out / "report.json").read_text())) == tags
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
+
+
 def test_distill_bad_checkpoint_magic(tmp_path, cluster_csv, capsys):
     bad = tmp_path / "bad.aff1"
     bad.write_bytes(b"NOPE" + bytes(32))

@@ -208,6 +208,21 @@ def test_metric_sweep_error_carries_sigma(two_point_data, two_point_stats):
         metric_sweep(failing, schedule, name="broken")
 
 
+def test_metric_sweep_error_keeps_errno_and_sets_sigma():
+    schedule = edm_schedule(0.01, 10.0, 7.0, 3)
+
+    def failing(s, seed):
+        if s < 0.1:
+            raise OSError(28, "No space left on device")
+        return 0.0
+
+    with pytest.raises(OSError) as info:
+        metric_sweep(failing, schedule, name="broken")
+    exc = info.value
+    assert exc.sigma == float(schedule.values[2])
+    assert exc.errno == 28 and str(exc) == "[Errno 28] No space left on device"
+
+
 def test_monte_carlo_metrics_bit_reproducible(two_point_data, two_point_stats):
     den1 = GaussianDenoiser(two_point_stats)
     den2 = MultiDeltaDenoiser(two_point_data)

@@ -54,3 +54,26 @@ def test_tracer_installs_counts_and_uninstalls(two_point_data):
     names = [m["name"] for m in spec["per_layer"] if not m["name"].startswith("bench.")]
     metrics = tracer.per_layer(names, (0, {}), reps=1)
     assert set(metrics) == set(names)
+
+
+def test_tracer_counts_one_adam_step_per_training_step(two_point_data):
+    """``workloads.EXPECTED`` holds ``optim.adam.calls`` to the step count."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model = dl.init_toy(0, 2, 6, "dae")
+        dl.train_toy(model, two_point_data, 0.5, steps=7, batch=2, lr=1e-3, seed=1)
+        toy = tracer.phase_totals((0, {}), tracer.mark())
+        mark = tracer.mark()
+        dl.distill_linear(dl.MultiDeltaDenoiser(two_point_data), two_point_data, 0.5,
+                          dl.DistillConfig(steps=5, batch=2, lr=1e-2, seed=1))
+        distill = tracer.phase_totals(mark, tracer.mark())
+    finally:
+        tracer.uninstall()
+    toy_size = sum(p.size for p in model.params)
+    assert toy["optim.adam.calls"] == 7
+    assert toy["optim.adam.elements"] == 7 * toy_size
+    assert toy["toytrainer.train_toy.steps"] == 7
+    assert distill["optim.adam.calls"] == 5
+    assert distill["optim.adam.elements"] == 5 * (2 * 2 + 2)

@@ -117,6 +117,30 @@ def test_ode_denoiser_failure_carries_step_index(two_point_stats):
         ode_sample(den, schedule, np.zeros(2))
 
 
+@pytest.mark.parametrize("error", [OSError(32, "Broken pipe"), ValueRangeError("boom")])
+def test_ode_denoiser_failure_sets_step_and_sigma(error):
+    calls = {"n": 0}
+
+    def explode(x, sigma):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise error
+        return x
+
+    schedule = edm_schedule(0.01, 10.0, 7.0, 6)
+    with pytest.raises(type(error)) as info:
+        ode_sample(FnDenoiser(2, explode), schedule, np.zeros(2))
+    exc = info.value
+    assert exc is error
+    assert exc.step == 2 and exc.sigma == float(schedule.values[2])
+    if isinstance(error, OSError):
+        # structured args stay, so str() and errno are the original ones
+        assert exc.errno == 32 and exc.args == (32, "Broken pipe")
+        assert str(exc) == "[Errno 32] Broken pipe"
+    else:
+        assert str(exc) == f"denoiser failed at step 2 (sigma={schedule.values[2]}): boom"
+
+
 def test_gaussian_trajectory_endpoints(two_point_stats, rng):
     schedule = edm_schedule(0.002, 80.0, 7.0, 10)
     x_T = rng.standard_normal(2) * 80
