@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import empirical_stats, load_dataset, write_raw_f64
+from .dataset import empirical_stats, load_dataset, write_csv, write_json, write_raw_f64
 from .denoisers import GaussianDenoiser, MultiDeltaDenoiser
 from .distillation import (
     AFFINE_MAGIC,
@@ -39,7 +39,7 @@ from .distillation import (
     losses_to_csv,
     save_affine,
 )
-from .errors import PluginError, ToolkitError
+from .errors import DimensionMismatchError, PluginError, ToolkitError
 from .metrics import (
     linearity_score,
     metric_sweep,
@@ -117,16 +117,13 @@ def _outdir(resolved: dict) -> Path:
 
 
 def _write_manifest(outdir: Path, subcommand: str, flags: dict, outputs: list[str]) -> None:
-    manifest = {
+    write_json(outdir / "manifest.json", {
         "subcommand": subcommand,
         "flags": flags,
         "seed": flags.get("seed"),
         "format_versions": FORMAT_VERSIONS,
         "outputs": sorted(outputs),
-    }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _load_data(resolved: dict):
@@ -145,30 +142,30 @@ def _build_denoiser(spec: str, data, stack: contextlib.ExitStack, dim: int | Non
 
     Specs: ``multi-delta``, ``gaussian``, ``affine:PATH``, ``toy:PATH``,
     ``external:COMMAND``. External children are registered with the exit
-    stack so they are shut down when the command finishes.
+    stack so they are shut down when the command finishes. A denoiser whose
+    dimension differs from that of ``data`` is refused.
     """
-    if spec == "multi-delta":
+    kind, colon, arg = spec.partition(":")
+    if spec in ("multi-delta", "gaussian"):
         if data is None:
-            raise UsageError("denoiser 'multi-delta' needs --data")
-        return MultiDeltaDenoiser(data)
-    if spec == "gaussian":
-        if data is None:
-            raise UsageError("denoiser 'gaussian' needs --data")
-        return GaussianDenoiser(empirical_stats(data))
-    if spec.startswith("affine:"):
-        return load_affine(spec.split(":", 1)[1])
-    if spec.startswith("toy:"):
-        return load_toy(spec.split(":", 1)[1])
-    if spec.startswith("external:"):
-        command = shlex.split(spec.split(":", 1)[1])
+            raise UsageError(f"denoiser {spec!r} needs --data")
+        den = (MultiDeltaDenoiser(data) if spec == "multi-delta"
+               else GaussianDenoiser(empirical_stats(data)))
+    elif colon and kind in ("affine", "toy"):
+        den = (load_affine if kind == "affine" else load_toy)(arg)
+    elif colon and kind == "external":
+        command = shlex.split(arg)
         if not command:
             raise UsageError("empty external denoiser command")
-        if dim is None:
-            dim = data.dim if data is not None else None
-        if dim is None:
+        if dim is None and data is None:
             raise UsageError("external denoiser needs --data or --dim for its dimension")
-        return stack.enter_context(ExternalDenoiser(command, dim=dim))
-    raise UsageError(f"unknown denoiser spec {spec!r}")
+        den = stack.enter_context(ExternalDenoiser(command, dim=data.dim if dim is None else dim))
+    else:
+        raise UsageError(f"unknown denoiser spec {spec!r}")
+    if data is not None and den.dim != data.dim:
+        raise DimensionMismatchError(
+            f"denoiser {spec!r} has dimension {den.dim} but --data has {data.dim}")
+    return den
 
 
 def _add_common(parser: argparse.ArgumentParser, schedule: bool = False) -> None:
@@ -194,10 +191,8 @@ def cmd_stats(resolved: dict) -> int:
     outdir = _outdir(resolved)
     stats = empirical_stats(_load_data(resolved))
     outputs = ["mean.csv", "eigvals.csv", "basis.f64"]
-    with open(outdir / "mean.csv", "w") as fh:
-        fh.writelines(repr(float(v)) + "\n" for v in stats.mean)
-    with open(outdir / "eigvals.csv", "w") as fh:
-        fh.writelines(repr(float(v)) + "\n" for v in stats.eigvals)
+    write_csv(outdir / "mean.csv", None, ([v] for v in stats.mean.tolist()), "\n")
+    write_csv(outdir / "eigvals.csv", None, ([v] for v in stats.eigvals.tolist()), "\n")
     write_raw_f64(outdir / "basis.f64", stats.basis.T)  # one component per row
     _write_manifest(outdir, "stats", resolved, outputs)
     return EXIT_OK
@@ -232,18 +227,15 @@ def cmd_sample(resolved: dict) -> int:
                 outputs.append(oname)
                 gap = np.linalg.norm(traj.final - exact.final) / np.linalg.norm(exact.final)
                 oracle_gap = max(oracle_gap, float(gap))
-    with open(outdir / "finals.csv", "w") as fh:
-        fh.write("sample," + ",".join(f"x{j}" for j in range(finals.shape[1])) + "\n")
-        for i, row in enumerate(finals):
-            fh.write(",".join([str(i)] + [repr(float(v)) for v in row]) + "\n")
+    write_csv(outdir / "finals.csv",
+              "sample," + ",".join(f"x{j}" for j in range(finals.shape[1])),
+              ([i, *row.tolist()] for i, row in enumerate(finals)), "\n")
     outputs.append("finals.csv")
     if resolved["raw"]:
         write_raw_f64(outdir / "finals.f64", finals)
         outputs.append("finals.f64")
     if stats is not None:
-        with open(outdir / "report.json", "w") as fh:
-            json.dump({"max_final_rel_error": oracle_gap}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(outdir / "report.json", {"max_final_rel_error": oracle_gap})
         outputs.append("report.json")
     _write_manifest(outdir, "sample", resolved, outputs)
     return EXIT_OK
@@ -287,9 +279,7 @@ def cmd_distill(resolved: dict) -> int:
                 "weight_nmse_vs_closed_form": weight_nmse(fitted.weight, exact.weight),
                 "final_loss": float(losses[-1]),
             }
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "report.json", report)
     outputs.append("report.json")
     _write_manifest(outdir, "distill", resolved, outputs)
     return EXIT_OK
@@ -343,9 +333,7 @@ def cmd_verify(resolved: dict) -> int:
         print(r.line())
     if resolved["out"]:
         outdir = _outdir(resolved)
-        with open(outdir / "verify.json", "w") as fh:
-            json.dump([r.__dict__ for r in results], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(outdir / "verify.json", [r.__dict__ for r in results])
         _write_manifest(outdir, "verify", resolved, ["verify.json"])
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 

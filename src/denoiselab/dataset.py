@@ -1,14 +1,19 @@
-"""Dataset ingestion and empirical Gaussian statistics.
+"""Dataset ingestion, empirical Gaussian statistics and the file writers.
 
 A dataset is a plain matrix of N training vectors in R^d. Its empirical mean
 and covariance eigendecomposition are what the closed-form denoisers consume.
 All operations here are pure; the returned objects are treated as immutable
 and are safe for concurrent reads.
+
+Every output file is written by ``write_raw_f64``, ``write_csv`` (floats as
+their shortest round-trip ``repr``) or ``write_json``.
 """
 
 from __future__ import annotations
 
+import json
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -138,6 +143,23 @@ def write_raw_f64(path: str | Path, values: np.ndarray) -> None:
         fh.write(values.astype("<f8").tobytes())
 
 
+def write_csv(path: str | Path, header: str | None, rows: Iterable[list], end: str) -> None:
+    """Write ``header`` (unless None), then each row of Python ints and floats.
+
+    Values are comma-joined ``repr`` strings, so floats round-trip exactly;
+    ``end`` ends every line.
+    """
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(header + end)
+        fh.writelines(repr(row)[1:-1].replace(", ", ",") + end for row in rows)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as JSON with 2-space indent, sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def read_raw_f64(path: str | Path) -> np.ndarray:
     """Read a matrix from the raw-f64 container, validating magic and size."""
     blob = Path(path).read_bytes()
@@ -209,7 +231,7 @@ def _check_range(values: np.ndarray, source: str) -> None:
 def load_dataset(path: str | Path, format: str) -> DataMatrix:
     """Load a dataset from disk.
 
-    Formats: ``csv`` (comma-separated, one sample per line), ``raw-f64``
+    Formats: ``csv`` (ASCII, comma-separated, one sample per line), ``raw-f64``
     (the DDL1 container), ``pgm-dir`` (directory of same-sized binary PGM
     images, pixels mapped by p/127.5 - 1). CSV and raw values must already
     lie in [-1, 1]; they are validated, not rescaled.
@@ -218,24 +240,27 @@ def load_dataset(path: str | Path, format: str) -> DataMatrix:
     if format == "csv":
         if not path.is_file():
             raise FileNotFoundError(path)
+        try:
+            text = path.read_text(encoding="ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not an ASCII CSV file") from exc
         rows = []
         width = None
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = [float(tok) for tok in line.split(",")]
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: unparseable value") from exc
-                if width is None:
-                    width = len(row)
-                elif len(row) != width:
-                    raise DimensionMismatchError(
-                        f"{path}:{lineno}: row has {len(row)} values, expected {width}"
-                    )
-                rows.append(row)
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: unparseable value") from exc
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise DimensionMismatchError(
+                    f"{path}:{lineno}: row has {len(row)} values, expected {width}"
+                )
+            rows.append(row)
         if not rows:
             raise FormatError(f"{path}: empty CSV dataset")
         values = np.array(rows, dtype=np.float64)

@@ -10,14 +10,13 @@ two trainers approach it from the stochastic (Adam) and deterministic
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import DataMatrix, GaussianStats, noisy_rows
+from .dataset import DataMatrix, GaussianStats, noisy_rows, write_csv
 from .denoisers import AffineDenoiser, Denoiser, GaussianDenoiser
 from .errors import (
     DimensionMismatchError,
@@ -200,6 +199,8 @@ def load_affine(path: str | Path) -> AffineDenoiser:
     if blob[:4] != AFFINE_MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {AFFINE_MAGIC!r}")
     (dim,) = struct.unpack("<I", blob[4:8])
+    if dim == 0:
+        raise FormatError(f"{path}: checkpoint declares dimension 0")
     (sigma,) = struct.unpack("<d", blob[8:16])
     expected = 16 + 8 * (dim * dim + dim)
     if len(blob) != expected:
@@ -214,8 +215,4 @@ def load_affine(path: str | Path) -> AffineDenoiser:
 
 def losses_to_csv(losses: np.ndarray, path: str | Path) -> None:
     """Write a loss curve as (step, loss) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for i, v in enumerate(losses):
-            writer.writerow([i, repr(float(v))])
+    write_csv(path, "step,loss", ([i, float(v)] for i, v in enumerate(losses)), "\r\n")

@@ -8,13 +8,12 @@ rounding), which grounds the finite-difference estimator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import write_raw_f64
+from .dataset import write_json, write_raw_f64
 from .denoisers import Denoiser
 from .distillation import check_dense_dim
 from .errors import DimensionMismatchError, ValueRangeError
@@ -124,15 +123,11 @@ def save_jacobian_report(report: JacobianReport, directory: str | Path,
     write_raw_f64(directory / left_file, report.left.T)
     write_raw_f64(directory / right_file, report.right.T)
     meta = directory / f"{prefix}.json"
-    with open(meta, "w") as fh:
-        json.dump(
-            {
-                "sigma": report.sigma,
-                "point": [float(v) for v in report.point],
-                "singular_values": [float(v) for v in report.singular_values],
-                "left_file": left_file,
-                "right_file": right_file,
-            },
-            fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta, {
+        "sigma": report.sigma,
+        "point": [float(v) for v in report.point],
+        "singular_values": [float(v) for v in report.singular_values],
+        "left_file": left_file,
+        "right_file": right_file,
+    })
     return meta

@@ -9,7 +9,6 @@ decoupled and reproducible.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import DataMatrix, noisy_rows, squared_distances
+from .dataset import DataMatrix, noisy_rows, squared_distances, write_csv, write_json
 from .denoisers import Denoiser
 from .errors import DimensionMismatchError, ValueRangeError, annotate
 from .sampler import SigmaSchedule
@@ -205,25 +204,19 @@ def metric_sweep(metric: Callable[[float, int], float | MetricValue],
 
 def series_to_csv(series: MetricSeries, path: str | Path) -> None:
     """Write (sigma, value, n, seed) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "value", "n", "seed"])
-        for sigma, value in zip(series.sigmas, series.values):
-            writer.writerow([repr(sigma), repr(value), series.n_samples, series.seed])
+    n, seed = int(series.n_samples), int(series.seed)
+    rows = ([float(s), float(v), n, seed] for s, v in zip(series.sigmas, series.values))
+    write_csv(path, "sigma,value,n,seed", rows, "\r\n")
 
 
 def series_to_json(series: MetricSeries, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "name": series.name,
-                "sigmas": list(series.sigmas),
-                "values": list(series.values),
-                "n": series.n_samples,
-                "seed": series.seed,
-            },
-            fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {
+        "name": series.name,
+        "sigmas": list(series.sigmas),
+        "values": list(series.values),
+        "n": series.n_samples,
+        "seed": series.seed,
+    })
 
 
 def read_series_csv(path: str | Path) -> MetricSeries:

@@ -14,13 +14,12 @@ which serves as the integration oracle.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import GaussianStats, write_raw_f64
+from .dataset import GaussianStats, write_csv, write_raw_f64
 from .denoisers import Denoiser
 from .errors import DimensionMismatchError, ValueRangeError, annotate
 
@@ -156,12 +155,9 @@ def gaussian_trajectory(stats: GaussianStats, x_T: np.ndarray,
 
 def trajectory_to_csv(traj: Trajectory, path: str | Path) -> None:
     """Write one row per step: step index, sigma, then the state values."""
-    dim = traj.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "sigma"] + [f"x{j}" for j in range(dim)])
-        for i, (sigma, state) in enumerate(traj):
-            writer.writerow([i, repr(float(sigma))] + [repr(float(v)) for v in state])
+    header = ",".join(["step", "sigma"] + [f"x{j}" for j in range(traj.states.shape[1])])
+    rows = ([i, float(sigma), *state.tolist()] for i, (sigma, state) in enumerate(traj))
+    write_csv(path, header, rows, "\r\n")
 
 
 def trajectory_to_raw(traj: Trajectory, directory: str | Path, prefix: str = "step") -> list[Path]:

@@ -69,6 +69,8 @@ class ToyDenoiser(Denoiser):
                 or b2.shape != (hidden,) or b3.shape != (dim,):
             raise DimensionMismatchError("inconsistent toy parameter shapes")
         self.params = [np.asarray(p, dtype=np.float64) for p in params]
+        if not all(np.all(np.isfinite(p)) for p in self.params):
+            raise ValueRangeError("non-finite toy parameters")
         self.mode = mode
         self.dim = dim
         self.hidden = hidden
@@ -289,6 +291,8 @@ def load_toy(path: str | Path) -> ToyDenoiser:
     if mode_byte >= len(_MODES):
         raise FormatError(f"{path}: unknown mode byte {mode_byte}")
     dim, hidden = struct.unpack("<II", blob[5:13])
+    if dim == 0 or hidden == 0:
+        raise FormatError(f"{path}: checkpoint declares dim {dim}, hidden {hidden}")
     (sigma_data,) = struct.unpack("<d", blob[13:21])
     shapes = [(dim + 1, hidden), (hidden,), (hidden, hidden), (hidden,),
               (hidden, dim), (dim,)]

@@ -396,3 +396,82 @@ def test_bad_config_value_exits_2_without_traceback(tmp_path, cluster_csv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "argument --steps: invalid int value: 'abc'" in proc.stderr
+
+
+def _run_module(argv, tmp_path):
+    src = str(Path(denoiselab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "denoiselab", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("blob", [b"\xef\xbb\xbf0.5,0.25\n-0.5,0.0\n", b"0.5,0.25\n-0.5,\xe9\n"],
+                         ids=["utf8-bom", "latin1-byte"])
+def test_non_ascii_csv_exits_3_without_traceback(tmp_path, blob):
+    data = tmp_path / "f.csv"
+    data.write_bytes(blob)
+    proc = _run_module(["stats", "--data", str(data), "--out", str(tmp_path / "o")], tmp_path)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "f.csv" in proc.stderr
+
+
+def _affine_ckpt(path, dim):
+    from denoiselab import AffineDenoiser, save_affine
+
+    save_affine(AffineDenoiser(np.eye(dim), np.zeros(dim)), path)
+    return path
+
+
+def _toy_ckpt(path, dim, hidden=8):
+    from denoiselab import init_toy, save_toy
+
+    save_toy(init_toy(1, dim, hidden, "skip"), path)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["affine", "toy"])
+def test_sample_with_data_of_another_dimension_exits_3(tmp_path, kind, capsys):
+    ckpt = (_affine_ckpt if kind == "affine" else _toy_ckpt)(tmp_path / "ckpt", 3)
+    data = write_csv(tmp_path / "d4.csv", np.full((3, 4), 0.25))
+    out = tmp_path / "o"
+    code = main(["sample", "--data", str(data), "--denoiser", f"{kind}:{ckpt}",
+                 "--steps", "3", "--out", str(out)])
+    assert code == 3
+    assert "dimension 3" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _toy_header(dim, hidden):
+    return b"TOY1" + bytes([1]) + np.array([dim, hidden], "<u4").tobytes() + \
+        np.array([0.5], "<f8").tobytes()
+
+
+def _toy_payload_size(dim, hidden):
+    return (dim + 1) * hidden + hidden + hidden * hidden + hidden + hidden * dim + dim
+
+
+def _degenerate_checkpoint(path, hole):
+    if hole == "affine-dim-0":
+        blob = b"AFF1" + np.array([0], "<u4").tobytes() + np.array([np.nan], "<f8").tobytes()
+        path.write_bytes(blob)
+        return f"affine:{path}"
+    if hole in ("toy-dim-0", "toy-hidden-0"):
+        dim, hidden = (0, 8) if hole == "toy-dim-0" else (3, 0)
+        payload = np.zeros(_toy_payload_size(dim, hidden), "<f8").tobytes()
+        path.write_bytes(_toy_header(dim, hidden) + payload)
+        return f"toy:{path}"
+    blob = bytearray(_toy_ckpt(path, 3).read_bytes())  # toy-inf-weight
+    blob[21:29] = np.array([np.inf], "<f8").tobytes()  # first entry of W1
+    path.write_bytes(bytes(blob))
+    return f"toy:{path}"
+
+
+@pytest.mark.parametrize("hole", ["affine-dim-0", "toy-dim-0", "toy-hidden-0", "toy-inf-weight"])
+def test_degenerate_checkpoint_exits_3(tmp_path, hole):
+    spec = _degenerate_checkpoint(tmp_path / "ckpt", hole)
+    out = tmp_path / "o"
+    code = main(["sample", "--denoiser", spec, "--dim", "3", "--steps", "3", "--out", str(out)])
+    assert code == 3
+    assert not (out / "finals.csv").exists()

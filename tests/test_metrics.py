@@ -7,6 +7,7 @@ from denoiselab import (
     AffineDenoiser,
     DataMatrix,
     GaussianDenoiser,
+    MetricSeries,
     MultiDeltaDenoiser,
     closed_form_linear,
     edm_schedule,
@@ -247,3 +248,14 @@ def test_series_exports(tmp_path, two_point_data, two_point_stats):
 
     data = json.loads((tmp_path / "s.json").read_text())
     assert data["name"] == "lin" and data["seed"] == 3
+
+
+def test_series_of_numpy_scalars_round_trips_through_csv(tmp_path):
+    series = MetricSeries(name="np", sigmas=tuple(np.array([2.0, 0.5])),
+                          values=tuple(np.array([0.25, 1e-300])),
+                          n_samples=np.int64(8), seed=np.int64(5))
+    series_to_csv(series, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == \
+        b"sigma,value,n,seed\r\n2.0,0.25,8,5\r\n0.5,1e-300,8,5\r\n"
+    back = read_series_csv(tmp_path / "s.csv")
+    assert back.sigmas == (2.0, 0.5) and back.values == (0.25, 1e-300)

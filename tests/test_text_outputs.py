@@ -1,0 +1,114 @@
+"""The exact bytes of every text writer, edge values included.
+
+Other tests parse outputs back with ``csv``/``json`` readers, which forgive a
+change of line end or float format. These compare whole files, so CRLF
+against LF and the ``repr`` of nan, inf, -0.0, 1e-300 and 1e22 are pinned
+file by file.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from denoiselab import cli
+from denoiselab.distillation import losses_to_csv
+from denoiselab.jacobian import JacobianReport, save_jacobian_report
+from denoiselab.metrics import MetricSeries, series_to_csv, series_to_json
+from denoiselab.sampler import Trajectory, trajectory_to_csv
+
+from conftest import write_csv
+
+NAN, INF = float("nan"), float("inf")
+EDGE = np.array([NAN, INF, -0.0, 1e-300, 1e22, -INF, 5e-324, 0.1])
+SERIES = MetricSeries(name="edge", sigmas=(INF, -0.0, 1e-300, NAN),
+                      values=(1e22, -0.0, 1e-300, 0.1), n_samples=7, seed=3)
+
+
+def _trajectory(tmp, monkeypatch):
+    traj = Trajectory(sigmas=np.array([2.0, 1e-300, 0.0]), states=EDGE[:6].reshape(3, 2))
+    trajectory_to_csv(traj, tmp / "t.csv")
+    return [tmp / "t.csv"]
+
+
+def _losses(tmp, monkeypatch):
+    losses_to_csv(EDGE, tmp / "loss.csv")
+    return [tmp / "loss.csv"]
+
+
+def _series_csv(tmp, monkeypatch):
+    series_to_csv(SERIES, tmp / "series.csv")
+    return [tmp / "series.csv"]
+
+
+def _series_json(tmp, monkeypatch):
+    series_to_json(SERIES, tmp / "series.json")
+    return [tmp / "series.json"]
+
+
+def _jacobian(tmp, monkeypatch):
+    report = JacobianReport(point=EDGE[:5], sigma=0.5,
+                            singular_values=np.array([INF, 1e22, 1e-300, -0.0]),
+                            left=np.eye(5)[:, :4], right=np.eye(5)[:, :4])
+    return [save_jacobian_report(report, tmp)]
+
+
+def _finals(tmp, monkeypatch):
+    def fixed(den, schedule, x_T):
+        return Trajectory(sigmas=np.array([1.0, 0.0]), states=np.stack([x_T, EDGE[:5]]))
+
+    monkeypatch.setattr(cli, "ode_sample", fixed)
+    data = write_csv(tmp / "d.csv", np.full((2, 5), 0.5))
+    assert cli.main(["sample", "--data", str(data), "--denoiser", "multi-delta",
+                     "--count", "2", "--out", str(tmp / "o")]) == 0
+    return [tmp / "o" / "finals.csv"]
+
+
+def _stats(tmp, monkeypatch):
+    stats = SimpleNamespace(mean=EDGE[:5], eigvals=EDGE[3:8], basis=np.eye(5))
+    monkeypatch.setattr(cli, "empirical_stats", lambda data: stats)
+    data = write_csv(tmp / "d.csv", np.full((2, 5), 0.5))
+    assert cli.main(["stats", "--data", str(data), "--out", str(tmp / "o")]) == 0
+    return [tmp / "o" / "mean.csv", tmp / "o" / "eigvals.csv"]
+
+
+CASES = {
+    "trajectory_to_csv": (_trajectory, [
+        b'step,sigma,x0,x1\r\n0,2.0,nan,inf\r\n1,1e-300,-0.0,1e-300\r\n'
+        b'2,0.0,1e+22,-inf\r\n',
+    ]),
+    "losses_to_csv": (_losses, [
+        b'step,loss\r\n0,nan\r\n1,inf\r\n2,-0.0\r\n3,1e-300\r\n4,1e+22\r\n5,-inf\r\n'
+        b'6,5e-324\r\n7,0.1\r\n',
+    ]),
+    "series_to_csv": (_series_csv, [
+        b'sigma,value,n,seed\r\ninf,1e+22,7,3\r\n-0.0,-0.0,7,3\r\n1e-300,1e-300,7,3\r\n'
+        b'nan,0.1,7,3\r\n',
+    ]),
+    "series_to_json": (_series_json, [
+        b'{\n  "n": 7,\n  "name": "edge",\n  "seed": 3,\n  "sigmas": [\n    Infinity,\n'
+        b'    -0.0,\n    1e-300,\n    NaN\n  ],\n  "values": [\n    1e+22,\n    -0.0,\n'
+        b'    1e-300,\n    0.1\n  ]\n}\n',
+    ]),
+    "save_jacobian_report": (_jacobian, [
+        b'{\n  "left_file": "jacobian_left.f64",\n  "point": [\n    NaN,\n'
+        b'    Infinity,\n    -0.0,\n    1e-300,\n    1e+22\n  ],\n'
+        b'  "right_file": "jacobian_right.f64",\n  "sigma": 0.5,\n'
+        b'  "singular_values": [\n    Infinity,\n    1e+22,\n    1e-300,\n    -0.0\n'
+        b'  ]\n}\n',
+    ]),
+    "finals.csv": (_finals, [
+        b'sample,x0,x1,x2,x3,x4\n0,nan,inf,-0.0,1e-300,1e+22\n'
+        b'1,nan,inf,-0.0,1e-300,1e+22\n',
+    ]),
+    "mean.csv/eigvals.csv": (_stats, [
+        b'nan\ninf\n-0.0\n1e-300\n1e+22\n',
+        b'1e-300\n1e+22\n-inf\n5e-324\n0.1\n',
+    ]),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(CASES))
+def test_writer_bytes_are_pinned(writer, tmp_path, monkeypatch):
+    case, expected = CASES[writer]
+    assert [p.read_bytes() for p in case(tmp_path, monkeypatch)] == expected
