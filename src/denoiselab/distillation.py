@@ -10,6 +10,7 @@ two trainers approach it from the stochastic (Adam) and deterministic
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,6 +118,24 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
     return AffineDenoiser(weight=W, bias=b, sigma=float(sigma)), losses
 
 
+def augmented_moments(X: DataMatrix, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of the clean-target objective in the augmented parameter Z = [W | b].
+
+    Returns M = [[S + sigma^2 I, mu], [mu^T, 1]] of shape (d+1, d+1) and
+    C = [S | mu] of shape (d, d+1), where S = Y^T Y / N is the second moment
+    and mu the mean of the rows of X.
+    """
+    Y = X.values
+    d = X.dim
+    C = np.column_stack([Y.T @ Y / X.n_samples, Y.mean(axis=0)])
+    M = np.empty((d + 1, d + 1))
+    M[:d] = C
+    M[:d, :d] += sigma**2 * np.eye(d)
+    M[d, :d] = C[:, d]
+    M[d, d] = 1.0
+    return M, C
+
+
 def train_linear_dsm(X: DataMatrix, sigma: float,
                      cfg: DistillConfig) -> tuple[AffineDenoiser, np.ndarray]:
     """Train an affine denoiser on the clean-target objective by plain GD.
@@ -125,38 +144,38 @@ def train_linear_dsm(X: DataMatrix, sigma: float,
     E||W(x+e)+b-x||^2 = ||(W-I)x+b||^2 + sigma^2 ||W||_F^2, so the gradient
     is evaluated exactly from the dataset's first and second moments and the
     descent is deterministic; ``cfg.batch`` and ``cfg.seed`` are not used.
+    In the augmented parameter Z = [W | b] the objective is the quadratic
+    sum((Z M - 2C) * Z) + tr S with M and C from ``augmented_moments``, so
+    its gradient is 2(Z M - C) and its Hessian is 2M: each step is one
+    product Z M, and a step size below 1 / lambda_max(M) is stable.
     Raises DivergenceError once the loss exceeds 10x its starting value.
     """
     if not sigma > 0:
         raise ValueRangeError(f"sigma must be positive, got {sigma}")
     check_dense_dim(X.dim)
     d = X.dim
-    Y = X.values
-    mu = Y.mean(axis=0)
-    second = Y.T @ Y / X.n_samples
-    W = np.zeros((d, d))
-    b = np.zeros(d)
-    eye = np.eye(d)
-
-    def loss_of(W, b):
-        E = W - eye
-        quad = float(np.sum((E @ second) * E)) + 2.0 * float(b @ (E @ mu)) + float(b @ b)
-        return quad + sigma**2 * float(np.sum(W * W))
-
+    M, C = augmented_moments(X, sigma)
+    initial = float(np.trace(C[:, :d]))
+    C2 = 2.0 * C
+    step = 2.0 * cfg.lr
+    Z = np.zeros((d, d + 1))
+    ZM = np.empty_like(Z)
+    tmp = np.empty_like(Z)
     losses = np.empty(cfg.steps)
-    initial = loss_of(W, b)
     for k in range(cfg.steps):
-        loss = loss_of(W, b)
-        if not np.isfinite(loss) or loss > _DIVERGENCE_FACTOR * initial:
+        np.matmul(Z, M, out=ZM)
+        np.subtract(ZM, C2, out=tmp)
+        loss = float(np.vdot(tmp, Z)) + initial
+        if not math.isfinite(loss) or loss > _DIVERGENCE_FACTOR * initial:
             raise DivergenceError(
                 f"gradient descent diverged at step {k}: loss {loss:.3e} "
                 f"exceeds 10x initial {initial:.3e}", step=k)
         losses[k] = loss
-        grad_W = 2.0 * ((W - eye) @ second + np.outer(b, mu) + sigma**2 * W)
-        grad_b = 2.0 * (W @ mu + b - mu)
-        W -= cfg.lr * grad_W
-        b -= cfg.lr * grad_b
-    return AffineDenoiser(weight=W, bias=b, sigma=float(sigma)), losses
+        np.subtract(ZM, C, out=tmp)
+        tmp *= step
+        Z -= tmp
+    return AffineDenoiser(weight=Z[:, :d].copy(), bias=Z[:, d].copy(),
+                          sigma=float(sigma)), losses
 
 
 def orthogonality_residual(D: Denoiser, X: DataMatrix, sigma: float,

@@ -32,6 +32,7 @@ from .errors import (
     PluginExitError,
     PluginProtocolError,
     PluginTimeoutError,
+    ValueRangeError,
 )
 
 PLUGIN_MAGIC = b"DNP1"
@@ -44,13 +45,15 @@ class ExternalDenoiser(Denoiser):
     """A ``Denoiser`` evaluated by a child process over the plugin protocol.
 
     ``command`` is the child's argv list; ``dim`` is the expected data
-    dimension, confirmed during the handshake. ``timeout`` (seconds) bounds
-    every wait to read or write; a write that times out kills the child,
-    since the stream is then desynchronised. Each ``evaluate_batch`` call is
-    one round trip.
+    dimension, at least 1 (checked before the child starts) and confirmed
+    during the handshake. ``timeout`` (seconds) bounds every wait to read or
+    write; a write that times out kills the child, since the stream is then
+    desynchronised. Each ``evaluate_batch`` call is one round trip.
     """
 
     def __init__(self, command: list[str], dim: int, timeout: float = 30.0):
+        if dim < 1:
+            raise ValueRangeError(f"plugin dimension must be at least 1, got {dim}")
         self.dim = dim
         self.timeout = timeout
         self._proc = subprocess.Popen(

@@ -15,6 +15,7 @@ from .dataset import DataMatrix, empirical_stats
 from .denoisers import AffineDenoiser, GaussianDenoiser, MultiDeltaDenoiser
 from .distillation import (
     DistillConfig,
+    augmented_moments,
     closed_form_linear,
     orthogonality_residual,
     train_linear_dsm,
@@ -59,12 +60,7 @@ def _default_data(seed: int, dim: int, n_samples: int) -> DataMatrix:
 
 def _stable_lr(X: DataMatrix, sigma: float) -> float:
     """Safe step size from the curvature of the affine least-squares problem."""
-    Y = X.values
-    d = X.dim
-    M = np.empty((d + 1, d + 1))
-    M[:d, :d] = Y.T @ Y / X.n_samples + sigma**2 * np.eye(d)
-    M[:d, d] = M[d, :d] = Y.mean(axis=0)
-    M[d, d] = 1.0
+    M, _ = augmented_moments(X, sigma)
     return 0.9 / float(np.linalg.eigvalsh(M)[-1])
 
 

@@ -46,3 +46,36 @@ def textbook_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1
         m_hat = m[i] / (1 - beta1**t)
         v_hat = v[i] / (1 - beta2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def textbook_linear_dsm(X, sigma, cfg):
+    """Plain GD on the clean-target objective with W and b kept apart.
+
+    Returns ``(W, b, losses)``, or ``(None, step, losses)`` at the step where
+    the loss turned non-finite or passed 10x its starting value.
+    """
+    d = X.dim
+    Y = X.values
+    mu = Y.mean(axis=0)
+    second = Y.T @ Y / X.n_samples
+    W = np.zeros((d, d))
+    b = np.zeros(d)
+    eye = np.eye(d)
+
+    def loss_of(W, b):
+        E = W - eye
+        quad = float(np.sum((E @ second) * E)) + 2.0 * float(b @ (E @ mu)) + float(b @ b)
+        return quad + sigma**2 * float(np.sum(W * W))
+
+    losses = []
+    initial = loss_of(W, b)
+    for k in range(cfg.steps):
+        loss = loss_of(W, b)
+        if not np.isfinite(loss) or loss > 10.0 * initial:
+            return None, k, np.array(losses)
+        losses.append(loss)
+        grad_W = 2.0 * ((W - eye) @ second + np.outer(b, mu) + sigma**2 * W)
+        grad_b = 2.0 * (W @ mu + b - mu)
+        W -= cfg.lr * grad_W
+        b -= cfg.lr * grad_b
+    return W, b, np.array(losses)

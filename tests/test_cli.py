@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -474,4 +475,16 @@ def test_degenerate_checkpoint_exits_3(tmp_path, hole):
     out = tmp_path / "o"
     code = main(["sample", "--denoiser", spec, "--dim", "3", "--steps", "3", "--out", str(out)])
     assert code == 3
+    assert not (out / "finals.csv").exists()
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_external_plugin_nonpositive_dim_exits_3_without_traceback(tmp_path, dim):
+    plugin = f"external:{shlex.quote(sys.executable)} -m denoiselab.plugin_cli echo --dim {dim}"
+    out = tmp_path / "o"
+    proc = _run_module(["sample", "--denoiser", plugin, "--dim", dim, "--steps", "3",
+                        "--out", str(out)], tmp_path)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert f"got {dim}" in proc.stderr
     assert not (out / "finals.csv").exists()

@@ -17,11 +17,11 @@ from denoiselab import (
     train_linear_dsm,
     weight_nmse,
 )
-from denoiselab.distillation import MAX_DENSE_DIM
+from denoiselab.distillation import MAX_DENSE_DIM, augmented_moments
 from denoiselab.errors import DivergenceError, FormatError, ValueRangeError
 from denoiselab.synth import gaussian_dataset
 
-from conftest import FnDenoiser
+from conftest import FnDenoiser, textbook_linear_dsm
 
 
 def test_closed_form_limits(two_point_stats, rng):
@@ -132,6 +132,69 @@ def test_distill_config_validation():
         DistillConfig(steps=1, batch=1, lr=-0.1, seed=0)
 
 
+# Largest gaps measured between train_linear_dsm and the textbook loop over
+# 2,000 steps (relative to the largest reference entry; losses elementwise):
+# W 7.1e-16, b 7.3e-14 (sigma = 0.1, where b is small), losses 6.3e-14.
+_W_BAND, _B_BAND, _LOSS_BAND = 2e-15, 2e-13, 2e-13
+
+
+def _theorem1_data():
+    return gaussian_dataset(0, 2000, 16, mean=np.full(16, 0.5),
+                            eigvals=np.linspace(2.0, 0.2, 16))
+
+
+def _assert_matches_textbook(X, sigma, lr, steps=2000):
+    cfg = DistillConfig(steps=steps, batch=1, lr=lr, seed=0, use_adam=False)
+    W, b, ref_losses = textbook_linear_dsm(X, sigma, cfg)
+    fitted, losses = train_linear_dsm(X, sigma, cfg)
+    assert np.max(np.abs(fitted.weight - W)) <= _W_BAND * np.max(np.abs(W), initial=1.0)
+    assert np.max(np.abs(fitted.bias - b)) <= _B_BAND * np.max(np.abs(b), initial=0.0)
+    assert losses.shape == ref_losses.shape
+    assert np.all(np.abs(losses - ref_losses) <= _LOSS_BAND * np.abs(ref_losses))
+    return fitted, losses
+
+
+def _top_curvature(X, sigma):
+    return float(np.linalg.eigvalsh(augmented_moments(X, sigma)[0])[-1])
+
+
+def test_augmented_moments_blocks():
+    X = _theorem1_data()
+    Y, d, sigma = X.values, X.dim, 0.3
+    M, C = augmented_moments(X, sigma)
+    second = Y.T @ Y / X.n_samples
+    assert np.array_equal(C[:, :d], second)
+    assert np.array_equal(C[:, d], Y.mean(axis=0))
+    assert np.array_equal(M[:d, :d], second + sigma**2 * np.eye(d))
+    assert np.array_equal(M[:d, d], C[:, d]) and np.array_equal(M[d, :d], C[:, d])
+    assert M[d, d] == 1.0
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
+def test_train_linear_dsm_matches_textbook_loop_theorem1(sigma):
+    X = _theorem1_data()
+    _assert_matches_textbook(X, sigma, 0.9 / _top_curvature(X, sigma))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_train_linear_dsm_matches_textbook_loop_two_point(two_point_data, sigma):
+    _assert_matches_textbook(two_point_data, sigma, 0.9 / _top_curvature(two_point_data, sigma))
+
+
+@pytest.mark.parametrize("factor", [1.02, 1.2, 2.05, 3.0, 10.0])
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
+def test_train_linear_dsm_diverges_at_textbook_step(two_point_data, sigma, factor):
+    # the Hessian is 2M, so every rate above 1/lambda_max(M) diverges
+    for X in (_theorem1_data(), two_point_data):
+        cfg = DistillConfig(steps=500, batch=1, lr=factor / _top_curvature(X, sigma),
+                            seed=0, use_adam=False)
+        W, ref_step, _ = textbook_linear_dsm(X, sigma, cfg)
+        assert W is None
+        with pytest.raises(DivergenceError) as info:
+            train_linear_dsm(X, sigma, cfg)
+        assert info.value.step == ref_step
+
+
 def test_train_linear_dsm_two_point(two_point_data):
     cfg = DistillConfig(steps=500, batch=1, lr=0.2, seed=0, use_adam=False)
     fitted, losses = train_linear_dsm(two_point_data, 1.0, cfg)
@@ -140,10 +203,10 @@ def test_train_linear_dsm_two_point(two_point_data):
 
 
 def test_train_linear_dsm_zero_lr(two_point_data):
-    cfg = DistillConfig(steps=50, batch=1, lr=0.0, seed=0, use_adam=False)
-    fitted, losses = train_linear_dsm(two_point_data, 1.0, cfg)
-    assert np.all(fitted.weight == 0.0) and np.all(fitted.bias == 0.0)
-    assert np.all(losses == losses[0])
+    for X in (two_point_data, _theorem1_data()):
+        fitted, losses = _assert_matches_textbook(X, 1.0, 0.0, steps=50)
+        assert np.all(fitted.weight == 0.0) and np.all(fitted.bias == 0.0)
+        assert np.all(losses == losses[0])
 
 
 def test_train_linear_dsm_divergence_flagged(two_point_data):

@@ -77,3 +77,18 @@ def test_tracer_counts_one_adam_step_per_training_step(two_point_data):
     assert toy["toytrainer.train_toy.steps"] == 7
     assert distill["optim.adam.calls"] == 5
     assert distill["optim.adam.elements"] == 5 * (2 * 2 + 2)
+
+
+def test_tracer_counts_train_linear_dsm_steps(two_point_data):
+    """The tracer reads ``cfg`` as the third argument of ``train_linear_dsm``."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cfg = dl.DistillConfig(steps=9, batch=1, lr=0.1, seed=0, use_adam=False)
+        dl.train_linear_dsm(two_point_data, 1.0, cfg)
+        totals = tracer.phase_totals((0, {}), tracer.mark())
+    finally:
+        tracer.uninstall()
+    assert totals["distillation.train_linear_dsm.calls"] == 1
+    assert totals["distillation.train_linear_dsm.steps"] == cfg.steps
