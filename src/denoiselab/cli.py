@@ -188,8 +188,8 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
 def cmd_stats(resolved: dict) -> int:
     if not resolved["data"]:
         raise UsageError("stats needs --data")
-    outdir = _outdir(resolved)
     stats = empirical_stats(_load_data(resolved))
+    outdir = _outdir(resolved)
     outputs = ["mean.csv", "eigvals.csv", "basis.f64"]
     write_csv(outdir / "mean.csv", None, ([v] for v in stats.mean.tolist()), "\n")
     write_csv(outdir / "eigvals.csv", None, ([v] for v in stats.eigvals.tolist()), "\n")
@@ -201,7 +201,6 @@ def cmd_stats(resolved: dict) -> int:
 def cmd_sample(resolved: dict) -> int:
     if resolved["count"] < 1:
         raise UsageError(f"count must be at least 1, got {resolved['count']}")
-    outdir = _outdir(resolved)
     data = _load_data(resolved)
     schedule = _schedule(resolved)
     outputs = []
@@ -210,6 +209,7 @@ def cmd_sample(resolved: dict) -> int:
         if resolved["oracle"] and resolved["denoiser"] != "gaussian":
             raise UsageError("--oracle only applies to the gaussian denoiser")
         stats = empirical_stats(data) if resolved["oracle"] else None
+        outdir = _outdir(resolved)
         finals = np.empty((resolved["count"], den.dim))
         oracle_gap = 0.0
         for i in range(resolved["count"]):
@@ -260,16 +260,16 @@ def cmd_distill(resolved: dict) -> int:
     if clash is not None:
         same = ", ".join(repr(s) for s, tag in zip(sigmas, tags) if tag == clash)
         raise UsageError(f"sigmas {same} would all write the files of sigma{clash}")
-    outdir = _outdir(resolved)
+    cfg = DistillConfig(steps=resolved["steps"], batch=resolved["batch"],
+                        lr=resolved["lr"], seed=resolved["seed"])
     data = _load_data(resolved)
     stats = empirical_stats(data)
     outputs = []
     report = {}
     with contextlib.ExitStack() as stack:
         teacher = _build_denoiser(resolved["teacher"], data, stack, resolved["dim"])
+        outdir = _outdir(resolved)
         for sigma, tag in zip(sigmas, tags):
-            cfg = DistillConfig(steps=resolved["steps"], batch=resolved["batch"],
-                                lr=resolved["lr"], seed=resolved["seed"])
             fitted, losses = distill_linear(teacher, data, sigma, cfg)
             save_affine(fitted, outdir / f"affine_sigma{tag}.aff1")
             losses_to_csv(losses, outdir / f"loss_sigma{tag}.csv")
@@ -288,7 +288,6 @@ def cmd_distill(resolved: dict) -> int:
 def cmd_metrics(resolved: dict) -> int:
     if not resolved["data"]:
         raise UsageError("metrics needs --data")
-    outdir = _outdir(resolved)
     data = _load_data(resolved)
     schedule = _schedule(resolved)
     n, seed = resolved["n"], resolved["seed"]
@@ -310,6 +309,7 @@ def cmd_metrics(resolved: dict) -> int:
                 lambda sigma, s: score_diff(den, den2, data, sigma, n=n, seed=s,
                                             variant=variant),
                 schedule, master_seed=seed, name=f"score-diff-{variant}", n_samples=n)
+    outdir = _outdir(resolved)
     outputs = ["series.csv", "series.json"]
     series_to_csv(series, outdir / "series.csv")
     series_to_json(series, outdir / "series.json")

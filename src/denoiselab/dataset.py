@@ -53,22 +53,31 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-def noisy_rows(X: DataMatrix, sigma: float, n: int,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def noisy_rows(X: DataMatrix, sigma: float, n: int, rng: np.random.Generator,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(rows, rows + sigma * noise) for n rows of X drawn with replacement.
 
     Row indices are drawn first, then the normals, so seeded callers agree bit for bit.
+    The noisy rows are written to ``out`` (a C-contiguous n x d float64 array) when
+    it is given, and to a new array otherwise.
     """
     rows = X.values[rng.integers(0, X.n_samples, size=n)]
-    return rows, rows + sigma * rng.standard_normal((n, X.dim))
+    noisy = rng.standard_normal((n, X.dim), out=out)
+    noisy *= sigma
+    noisy += rows
+    return rows, noisy
 
 
 def squared_distances(A: np.ndarray, B: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     """||a - b||^2 for all row pairs, as ||a||^2 - 2<a,b> + ||b||^2 clipped at 0.
 
     ``b_sq`` holds the squared row norms of B, so a fixed B computes them once.
+    The terms are combined in place in the one k x N array the product allocates.
     """
-    return np.maximum((A**2).sum(axis=1)[:, None] - 2.0 * A @ B.T + b_sq[None, :], 0.0)
+    sq = 2.0 * A @ B.T
+    np.subtract((A**2).sum(axis=1)[:, None], sq, out=sq)
+    sq += b_sq[None, :]
+    return np.maximum(sq, 0.0, out=sq)
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,10 @@ class MultiDeltaDenoiser(Denoiser):
         if not sigma > 0:
             raise ValueRangeError(f"sigma must be positive, got {sigma}")
         Y = self.data.values
-        logits = -squared_distances(X, Y, self._sq_norms) / (2.0 * sigma**2)
-        logits -= logits.max(axis=1, keepdims=True)
-        w = np.exp(logits)
+        w = squared_distances(X, Y, self._sq_norms)  # logits, then weights, in place
+        w /= -2.0 * sigma**2  # x / -c is -x / c bit for bit
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)
         return w @ Y
 

@@ -24,6 +24,7 @@ from .errors import (
     DivergenceError,
     FormatError,
     ValueRangeError,
+    annotate,
 )
 from .optim import Adam
 
@@ -31,6 +32,9 @@ AFFINE_MAGIC = b"AFF1"
 
 #: dense d x d weights and Jacobians above this are refused, not silently slow
 MAX_DENSE_DIM = 4096
+
+#: rows per teacher query in ``distill_linear``: the steps of one block share a call
+TEACHER_ROWS = 256
 
 #: loss exceeding this multiple of its starting value counts as divergence
 _DIVERGENCE_FACTOR = 10.0
@@ -84,37 +88,65 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
     """Fit W x + b to a target denoiser on noisy data by stochastic Adam.
 
     W and b start at zero. Each step draws ``cfg.batch`` rows of X (with
-    replacement) plus fresh Gaussian noise at level sigma, queries the target
-    once per batch, and takes an Adam step on the squared matching error.
+    replacement) plus fresh Gaussian noise at level sigma and takes an Adam
+    step on the squared matching error against the target's outputs.
     Returns the fitted map and the per-step loss sequence.
+
+    The target's inputs do not depend on (W, b), so it is queried once per
+    block of ``max(1, TEACHER_ROWS // cfg.batch)`` steps, with every row of
+    the block. For batch >= 2 the result is bitwise equal to querying it once
+    per step; at batch 1 the one-row products of a per-step query round
+    differently. A target failure propagates with ``step`` (the block's first
+    step) and ``sigma`` set on the exception (see ``errors.annotate``), and a
+    non-finite loss raises DivergenceError with the same two attributes.
     """
     if target.dim != X.dim:
         raise DimensionMismatchError(f"target dim {target.dim} != data dim {X.dim}")
     if not sigma > 0:
         raise ValueRangeError(f"sigma must be positive, got {sigma}")
     check_dense_dim(X.dim)
-    d = X.dim
+    d, n = X.dim, cfg.batch
     rng = np.random.default_rng(cfg.seed)
     W = np.zeros((d, d))
     b = np.zeros(d)
     opt = Adam([W, b], lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps) \
         if cfg.use_adam else None
     losses = np.empty(cfg.steps)
-    for k in range(cfg.steps):
-        _, noisy = noisy_rows(X, sigma, cfg.batch, rng)
-        teach = target.evaluate_batch(noisy, sigma)
-        resid = noisy @ W.T + b - teach
-        loss = float((resid**2).sum(axis=1).mean())
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite distillation loss at step {k}", step=k)
-        losses[k] = loss
-        grad_W = 2.0 / cfg.batch * resid.T @ noisy
-        grad_b = 2.0 / cfg.batch * resid.sum(axis=0)
-        if opt is not None:
-            opt.step([grad_W, grad_b])
-        else:
-            W -= cfg.lr * grad_W
-            b -= cfg.lr * grad_b
+    per_block = max(1, TEACHER_ROWS // n)
+    block = np.empty((per_block, n, d))
+    resid = np.empty((n, d))
+    scaled = np.empty((n, d))
+    grad_W = np.empty((d, d))
+    grad_b = np.empty(d)
+    scale = 2.0 / n
+    for first in range(0, cfg.steps, per_block):
+        noisy = block[:min(per_block, cfg.steps - first)]
+        for rows in noisy:
+            noisy_rows(X, sigma, n, rng, out=rows)
+        try:
+            teach = target.evaluate_batch(noisy.reshape(-1, d), sigma).reshape(noisy.shape)
+        except Exception as exc:
+            annotate(exc, f"teacher failed in the block from step {first} (sigma={sigma})",
+                     step=first, sigma=float(sigma))
+            raise
+        for k, x, t in zip(range(first, cfg.steps), noisy, teach):
+            np.matmul(x, W.T, out=resid)
+            resid += b
+            resid -= t
+            loss = float((resid**2).sum(axis=1).sum()) / n  # np.mean's steps, less overhead
+            if not math.isfinite(loss):
+                raise DivergenceError(f"non-finite distillation loss at step {k} "
+                                      f"(sigma={sigma})", step=k, sigma=float(sigma))
+            losses[k] = loss
+            np.multiply(resid, scale, out=scaled)
+            np.matmul(scaled.T, x, out=grad_W)
+            resid.sum(axis=0, out=grad_b)
+            grad_b *= scale
+            if opt is not None:
+                opt.step([grad_W, grad_b])
+            else:
+                W -= cfg.lr * grad_W
+                b -= cfg.lr * grad_b
     return AffineDenoiser(weight=W, bias=b, sigma=float(sigma)), losses
 
 

@@ -36,11 +36,12 @@ class ValueRangeError(ToolkitError):
 
 
 class DivergenceError(ToolkitError):
-    """Training loss blew up; carries the step at which it was detected."""
+    """Training loss blew up; carries the step (and sigma) at which it was detected."""
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int | None = None, sigma: float | None = None):
         super().__init__(message)
         self.step = step
+        self.sigma = sigma
 
 
 class PluginError(ToolkitError):

@@ -79,3 +79,32 @@ def textbook_linear_dsm(X, sigma, cfg):
         W -= cfg.lr * grad_W
         b -= cfg.lr * grad_b
     return W, b, np.array(losses)
+
+
+def textbook_distill_linear(target, X, sigma, cfg):
+    """Stochastic Adam distillation that queries the target once per step.
+
+    Each step draws ``cfg.batch`` row indices, then their normals. Returns
+    ``(W, b, losses)``, or ``(None, step, losses)`` at the step where the
+    loss turned non-finite.
+    """
+    d = X.dim
+    rng = np.random.default_rng(cfg.seed)
+    W = np.zeros((d, d))
+    b = np.zeros(d)
+    m, v = [np.zeros_like(W), np.zeros_like(b)], [np.zeros_like(W), np.zeros_like(b)]
+    losses = []
+    for k in range(cfg.steps):
+        rows = X.values[rng.integers(0, X.n_samples, size=cfg.batch)]
+        noisy = rows + sigma * rng.standard_normal((cfg.batch, d))
+        teach = target.evaluate_batch(noisy, sigma)
+        resid = noisy @ W.T + b - teach
+        loss = float((resid**2).sum(axis=1).mean())
+        if not np.isfinite(loss):
+            return None, k, np.array(losses)
+        losses.append(loss)
+        grad_W = 2.0 / cfg.batch * resid.T @ noisy
+        grad_b = 2.0 / cfg.batch * resid.sum(axis=0)
+        textbook_adam_step([W, b], [grad_W, grad_b], m, v, k + 1, cfg.lr,
+                           cfg.beta1, cfg.beta2, cfg.eps)
+    return W, b, np.array(losses)

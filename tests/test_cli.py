@@ -441,7 +441,16 @@ def test_sample_with_data_of_another_dimension_exits_3(tmp_path, kind, capsys):
                  "--steps", "3", "--out", str(out)])
     assert code == 3
     assert "dimension 3" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["stats", "sample", "distill", "metrics"])
+def test_missing_data_file_exits_3_and_creates_no_out_dir(tmp_path, subcommand, capsys):
+    out = tmp_path / "o"
+    code = main([subcommand, "--data", str(tmp_path / "missing.csv"), "--out", str(out)])
+    assert code == 3
+    assert "missing.csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _toy_header(dim, hidden):
@@ -488,3 +497,14 @@ def test_external_plugin_nonpositive_dim_exits_3_without_traceback(tmp_path, dim
     assert "Traceback" not in proc.stderr
     assert f"got {dim}" in proc.stderr
     assert not (out / "finals.csv").exists()
+
+
+def test_external_plugin_dimension_mismatch_exits_3_without_traceback(tmp_path):
+    plugin = f"external:{shlex.quote(sys.executable)} -m denoiselab.plugin_cli echo --dim 3"
+    out = tmp_path / "o"
+    proc = _run_module(["sample", "--denoiser", plugin, "--dim", "4", "--steps", "3",
+                        "--out", str(out)], tmp_path)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "plugin serves dimension 3, expected 4" in proc.stderr
+    assert not out.exists()

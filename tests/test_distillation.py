@@ -1,27 +1,33 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
 from denoiselab import (
     AffineDenoiser,
     DataMatrix,
+    Denoiser,
     DistillConfig,
+    ExternalDenoiser,
     GaussianDenoiser,
     GaussianStats,
     MultiDeltaDenoiser,
     closed_form_linear,
     distill_linear,
     empirical_stats,
+    init_toy,
     load_affine,
     orthogonality_residual,
     save_affine,
     train_linear_dsm,
     weight_nmse,
 )
-from denoiselab.distillation import MAX_DENSE_DIM, augmented_moments
+from denoiselab.distillation import MAX_DENSE_DIM, TEACHER_ROWS, augmented_moments
 from denoiselab.errors import DivergenceError, FormatError, ValueRangeError
 from denoiselab.synth import gaussian_dataset
 
-from conftest import FnDenoiser, textbook_linear_dsm
+from conftest import FnDenoiser, textbook_distill_linear, textbook_linear_dsm
 
 
 def test_closed_form_limits(two_point_stats, rng):
@@ -130,6 +136,125 @@ def test_distill_config_validation():
         DistillConfig(steps=1, batch=0, lr=0.1, seed=0)
     with pytest.raises(ValueRangeError):
         DistillConfig(steps=1, batch=1, lr=-0.1, seed=0)
+
+
+class _Recording(Denoiser):
+    """Pass rows to ``inner`` and record each call's row count.
+
+    ``nan_row`` counts rows over all calls; that row's output is set to NaN.
+    ``fail_call`` is (call number, exception): that call raises it.
+    """
+
+    def __init__(self, inner, nan_row=None, fail_call=None):
+        self.inner, self.dim = inner, inner.dim
+        self.nan_row, self.fail_call = nan_row, fail_call
+        self.calls = []
+
+    def evaluate_batch(self, X, sigma):
+        if self.fail_call is not None and len(self.calls) == self.fail_call[0]:
+            raise self.fail_call[1]
+        out = self.inner.evaluate_batch(X, sigma)
+        if self.nan_row is not None and 0 <= self.nan_row - sum(self.calls) < len(X):
+            out[self.nan_row - sum(self.calls), 0] = np.nan
+        self.calls.append(len(X))
+        return out
+
+
+@pytest.fixture(scope="module")
+def distill_teachers():
+    d = 5
+    X = gaussian_dataset(12, 40, d, mean=np.full(d, 0.1), eigvals=np.linspace(1.2, 0.3, d))
+    r = np.random.default_rng(12)
+    echo = ExternalDenoiser([sys.executable, "-m", "denoiselab.plugin_cli", "echo",
+                             "--dim", str(d)], dim=d)
+    try:
+        yield X, {
+            "multi-delta": MultiDeltaDenoiser(X),
+            "gaussian": GaussianDenoiser(empirical_stats(X)),
+            "affine": AffineDenoiser(r.standard_normal((d, d)) / 3, 0.2 * r.standard_normal(d)),
+            "toy": init_toy(12, d, 16, "skip"),
+            "external-echo": echo,
+        }
+    finally:
+        echo.close()
+
+
+@pytest.mark.parametrize("batch", [2, 3, 64, 100, 300])
+@pytest.mark.parametrize("teacher", ["multi-delta", "gaussian", "affine", "toy", "external-echo"])
+def test_distill_block_queries_match_per_step_queries(distill_teachers, teacher, batch):
+    # 257 steps leave a partial last block; batch 300 exceeds TEACHER_ROWS
+    X, teachers = distill_teachers
+    for steps in (1, 5, 257):
+        cfg = DistillConfig(steps=steps, batch=batch, lr=5e-3, seed=steps + batch)
+        W, b, ref_losses = textbook_distill_linear(teachers[teacher], X, 0.7, cfg)
+        fitted, losses = distill_linear(teachers[teacher], X, 0.7, cfg)
+        assert np.array_equal(fitted.weight, W) and np.array_equal(fitted.bias, b)
+        assert np.array_equal(losses, ref_losses)
+
+
+# Largest gaps measured at batch 1 between block and per-step queries over 257
+# steps (a one-row product rounds differently from a block's; relative to the
+# largest reference entry, losses elementwise): W 1.4e-16, b 4.0e-16, losses 7.5e-15.
+_B1_BAND = 1e-13
+
+
+@pytest.mark.parametrize("teacher", ["multi-delta", "gaussian", "affine", "toy"])
+def test_distill_batch_one_matches_per_step_queries_to_rounding(distill_teachers, teacher):
+    X, teachers = distill_teachers
+    cfg = DistillConfig(steps=257, batch=1, lr=5e-3, seed=1)
+    W, b, ref_losses = textbook_distill_linear(teachers[teacher], X, 0.7, cfg)
+    fitted, losses = distill_linear(teachers[teacher], X, 0.7, cfg)
+    assert np.max(np.abs(fitted.weight - W)) <= _B1_BAND * np.max(np.abs(W))
+    assert np.max(np.abs(fitted.bias - b)) <= _B1_BAND * np.max(np.abs(b))
+    assert np.all(np.abs(losses - ref_losses) <= _B1_BAND * np.abs(ref_losses))
+    again, again_losses = distill_linear(teachers[teacher], X, 0.7, cfg)
+    assert np.array_equal(again.weight, fitted.weight)
+    assert np.array_equal(again_losses, losses)
+
+
+@pytest.mark.parametrize("steps", [1, 5, 257])
+@pytest.mark.parametrize("batch", [1, 3, 64, 100, 300])
+def test_distill_queries_the_teacher_once_per_block(distill_teachers, batch, steps):
+    X, teachers = distill_teachers
+    teacher = _Recording(teachers["affine"])
+    distill_linear(teacher, X, 0.7, DistillConfig(steps=steps, batch=batch, lr=5e-3, seed=0))
+    per_block = max(1, TEACHER_ROWS // batch)
+    assert len(teacher.calls) == math.ceil(steps / per_block)
+    assert sum(teacher.calls) == steps * batch
+    assert all(rows == per_block * batch for rows in teacher.calls[:-1])
+
+
+@pytest.mark.parametrize("batch", [3, 64])
+def test_distill_nan_teacher_row_diverges_at_the_per_step_reference_step(distill_teachers,
+                                                                         batch):
+    X, teachers = distill_teachers
+    per_block = max(1, TEACHER_ROWS // batch)
+    nan_row = (2 * per_block + 1) * batch + 1  # second step of the third block
+    cfg = DistillConfig(steps=4 * per_block, batch=batch, lr=5e-3, seed=2)
+    W, ref_step, _ = textbook_distill_linear(
+        _Recording(teachers["multi-delta"], nan_row=nan_row), X, 0.7, cfg)
+    assert W is None and ref_step == 2 * per_block + 1
+    with pytest.raises(DivergenceError) as info:
+        distill_linear(_Recording(teachers["multi-delta"], nan_row=nan_row), X, 0.7, cfg)
+    assert info.value.step == ref_step
+    assert info.value.sigma == 0.7
+
+
+@pytest.mark.parametrize("error", [OSError(32, "Broken pipe"), ValueRangeError("boom")])
+def test_distill_teacher_failure_sets_block_step_and_sigma(distill_teachers, error):
+    X, teachers = distill_teachers
+    per_block = TEACHER_ROWS // 64
+    teacher = _Recording(teachers["gaussian"], fail_call=(1, error))
+    cfg = DistillConfig(steps=3 * per_block, batch=64, lr=5e-3, seed=3)
+    with pytest.raises(type(error)) as info:
+        distill_linear(teacher, X, 0.7, cfg)
+    exc = info.value
+    assert exc is error
+    assert exc.step == per_block and exc.sigma == 0.7
+    if isinstance(error, OSError):
+        assert exc.errno == 32 and str(exc) == "[Errno 32] Broken pipe"
+    else:
+        assert str(exc) == f"teacher failed in the block from step {per_block} (sigma=0.7): boom"
 
 
 # Largest gaps measured between train_linear_dsm and the textbook loop over

@@ -92,3 +92,20 @@ def test_tracer_counts_train_linear_dsm_steps(two_point_data):
         tracer.uninstall()
     assert totals["distillation.train_linear_dsm.calls"] == 1
     assert totals["distillation.train_linear_dsm.steps"] == cfg.steps
+
+
+def test_tracer_counts_one_teacher_call_per_block_of_distill_steps(two_point_data):
+    """9 steps of 64 rows query the teacher in blocks of 4, 4 and 1 steps."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        dl.distill_linear(dl.MultiDeltaDenoiser(two_point_data), two_point_data, 0.5,
+                          dl.DistillConfig(steps=9, batch=64, lr=1e-2, seed=1))
+        totals = tracer.phase_totals((0, {}), tracer.mark())
+    finally:
+        tracer.uninstall()
+    assert totals["denoisers.multi_delta.calls"] == 3
+    assert totals["denoisers.multi_delta.rows"] == 9 * 64
+    assert totals["optim.adam.calls"] == 9
+    assert totals["distillation.distill_linear.steps"] == 9
