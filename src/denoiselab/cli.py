@@ -212,6 +212,8 @@ def cmd_sample(resolved: dict) -> int:
         outdir = _outdir(resolved)
         finals = np.empty((resolved["count"], den.dim))
         oracle_gap = 0.0
+        # one start per ode_sample call: each trajectory is written and dropped
+        # before the next, and perfbench's tracer counts NFE per denoiser call
         for i in range(resolved["count"]):
             rng = np.random.default_rng([resolved["seed"], i])
             x_T = resolved["sigma_max"] * rng.standard_normal(den.dim)

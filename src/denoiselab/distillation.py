@@ -201,7 +201,7 @@ def train_linear_dsm(X: DataMatrix, sigma: float,
         if not math.isfinite(loss) or loss > _DIVERGENCE_FACTOR * initial:
             raise DivergenceError(
                 f"gradient descent diverged at step {k}: loss {loss:.3e} "
-                f"exceeds 10x initial {initial:.3e}", step=k)
+                f"exceeds 10x initial {initial:.3e}", step=k, sigma=float(sigma))
         losses[k] = loss
         np.subtract(ZM, C, out=tmp)
         tmp *= step

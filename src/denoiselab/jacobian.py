@@ -106,6 +106,7 @@ def perturb_and_resample(D: Denoiser, schedule: SigmaSchedule, trajectory: Traje
             f"step index {step_index} has no remaining levels to resample")
     rest = schedule.tail(step_index)
     base = trajectory.states[step_index]
+    # one start per call: a row of a batched run is not bitwise its one-row run
     return [ode_sample(D, rest, base + m * v).final for m in magnitudes]
 
 

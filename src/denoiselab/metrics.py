@@ -8,7 +8,6 @@ decoupled and reproducible.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -217,18 +216,3 @@ def series_to_json(series: MetricSeries, path: str | Path) -> None:
         "n": series.n_samples,
         "seed": series.seed,
     })
-
-
-def read_series_csv(path: str | Path) -> MetricSeries:
-    """Read back a series written by ``series_to_csv``."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValueRangeError(f"{path}: empty metric series")
-    return MetricSeries(
-        name=Path(path).stem,
-        sigmas=tuple(float(r["sigma"]) for r in rows),
-        values=tuple(float(r["value"]) for r in rows),
-        n_samples=int(rows[0]["n"]),
-        seed=int(rows[0]["seed"]),
-    )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import GaussianStats, write_csv, write_raw_f64
+from .dataset import GaussianStats, write_csv
 from .denoisers import Denoiser
 from .errors import DimensionMismatchError, ValueRangeError, annotate
 
@@ -59,7 +59,11 @@ class SigmaSchedule:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States of one sampling run, from sigma_max down to the terminal 0."""
+    """States of a sampling run, from sigma_max down to the terminal 0.
+
+    ``states[i]`` holds the (d,) state of one start, or the (k, d) states of
+    k starts sampled together, at ``sigmas[i]``.
+    """
 
     sigmas: np.ndarray
     states: np.ndarray
@@ -67,7 +71,7 @@ class Trajectory:
     def __post_init__(self):
         sigmas = np.asarray(self.sigmas, dtype=np.float64)
         states = np.asarray(self.states, dtype=np.float64)
-        if states.ndim != 2 or sigmas.shape != (states.shape[0],):
+        if states.ndim not in (2, 3) or sigmas.shape != (states.shape[0],):
             raise DimensionMismatchError("trajectory needs one sigma per state row")
         sigmas.setflags(write=False)
         states.setflags(write=False)
@@ -102,29 +106,38 @@ def edm_schedule(sigma_min: float, sigma_max: float, rho: float, n_steps: int) -
     return SigmaSchedule(sigma_min=sigma_min, sigma_max=sigma_max, rho=rho, values=values)
 
 
+def _start_rows(x_T: np.ndarray, dim: int) -> np.ndarray:
+    """A (d,) or (k, d) start with k >= 1 as float64, else DimensionMismatchError."""
+    x_T = np.asarray(x_T, dtype=np.float64)
+    if x_T.ndim not in (1, 2) or x_T.shape[-1] != dim or x_T.size == 0:
+        raise DimensionMismatchError(
+            f"start state shape {x_T.shape} != (dim={dim},) or (k>=1, dim={dim})")
+    return x_T
+
+
 def ode_sample(D: Denoiser, schedule: SigmaSchedule, x_T: np.ndarray) -> Trajectory:
     """Integrate the reverse ODE with first-order (Euler) steps.
 
-    The terminal step to level 0 returns D evaluated at the last positive
-    level. A denoiser failure propagates with ``step`` and ``sigma``
-    attributes set on the exception (see ``errors.annotate``).
+    ``x_T`` is one start (d,) or k starts (k, d), all sent to the denoiser in
+    one ``evaluate_batch`` call per step. The terminal step to level 0
+    returns D evaluated at the last positive level. A denoiser failure
+    propagates with ``step`` and ``sigma`` attributes set on the exception
+    (see ``errors.annotate``).
     """
-    x_T = np.asarray(x_T, dtype=np.float64)
-    if x_T.shape != (D.dim,):
-        raise DimensionMismatchError(f"start state shape {x_T.shape} != (dim={D.dim},)")
+    x_T = _start_rows(x_T, D.dim)
     sigmas = np.append(schedule.values, 0.0)
-    states = [x_T]
-    x = x_T
+    states = np.empty((sigmas.size, *x_T.shape))
+    states[0] = x_T
+    rows = states.reshape(sigmas.size, -1, D.dim)  # a (n+1, k, d) view of states
     for i, (t, t_next) in enumerate(zip(sigmas[:-1], sigmas[1:])):
         try:
-            denoised = D.evaluate(x, float(t))
+            denoised = D.evaluate_batch(rows[i], float(t))
         except Exception as exc:
             annotate(exc, f"denoiser failed at step {i} (sigma={t})", step=i, sigma=float(t))
             raise
         ratio = t_next / t
-        x = ratio * x + (1.0 - ratio) * denoised if t_next > 0 else denoised
-        states.append(x)
-    return Trajectory(sigmas=sigmas, states=np.stack(states))
+        rows[i + 1] = ratio * rows[i] + (1.0 - ratio) * denoised if t_next > 0 else denoised
+    return Trajectory(sigmas=sigmas, states=states)
 
 
 def gaussian_trajectory(stats: GaussianStats, x_T: np.ndarray,
@@ -135,38 +148,31 @@ def gaussian_trajectory(stats: GaussianStats, x_T: np.ndarray,
     sqrt((sigma(t)^2 + eigval) / (sigma(T)^2 + eigval)); the component
     orthogonal to the basis follows the same law with eigval = 0, i.e. a
     plain sigma(t)/sigma(T) decay that vanishes at the terminal level.
+    ``x_T`` is one start (d,) or k starts (k, d), as in ``ode_sample``.
     """
-    x_T = np.asarray(x_T, dtype=np.float64)
-    if x_T.shape != (stats.dim,):
-        raise DimensionMismatchError(f"start state shape {x_T.shape} != (dim={stats.dim},)")
-    sigma_T = schedule.values[0]
-    lam = stats.eigvals
-    centered = x_T - stats.mean
-    proj = centered @ stats.basis
-    ortho = centered - stats.basis @ proj
+    x_T = _start_rows(x_T, stats.dim)
     sigmas = np.append(schedule.values, 0.0)
-    states = np.empty((sigmas.size, stats.dim))
-    for k, s in enumerate(sigmas):
-        coef = np.sqrt((s**2 + lam) / (sigma_T**2 + lam))
-        states[k] = stats.mean + stats.basis @ (coef * proj) + (s / sigma_T) * ortho
+    sigma_T = sigmas[0]
+    lam = stats.eigvals
+    centered = x_T.reshape(-1, stats.dim) - stats.mean
+    proj = centered @ stats.basis
+    ortho = centered - proj @ stats.basis.T
+    coef = np.sqrt((sigmas[:, None] ** 2 + lam) / (sigma_T**2 + lam))
+    states = np.empty((sigmas.size, *x_T.shape))
+    rows = states.reshape(sigmas.size, -1, stats.dim)  # a (n+1, k, d) view of states
+    # einsum sums in its own loop: a BLAS product of this size wakes a worker
+    # thread that keeps spinning while the caller goes on alone
+    np.einsum("nkr,dr->nkd", coef[:, None, :] * proj, stats.basis, out=rows)
+    rows += stats.mean
+    rows += (sigmas / sigma_T)[:, None, None] * ortho
     states[0] = x_T  # coefficient is exactly 1 at sigma(T)
     return Trajectory(sigmas=sigmas, states=states)
 
 
 def trajectory_to_csv(traj: Trajectory, path: str | Path) -> None:
-    """Write one row per step: step index, sigma, then the state values."""
+    """Write one row per step of one start: step index, sigma, then the state."""
+    if traj.states.ndim != 2:
+        raise DimensionMismatchError(f"one start per CSV, got states {traj.states.shape}")
     header = ",".join(["step", "sigma"] + [f"x{j}" for j in range(traj.states.shape[1])])
     rows = ([i, float(sigma), *state.tolist()] for i, (sigma, state) in enumerate(traj))
     write_csv(path, header, rows, "\r\n")
-
-
-def trajectory_to_raw(traj: Trajectory, directory: str | Path, prefix: str = "step") -> list[Path]:
-    """Write each state as a 1 x d raw-f64 container; returns the paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, (_, state) in enumerate(traj):
-        p = directory / f"{prefix}_{i:04d}.f64"
-        write_raw_f64(p, state[None, :])
-        paths.append(p)
-    return paths

@@ -221,7 +221,8 @@ def train_toy(model: ToyDenoiser, X: DataMatrix, sigma: float, steps: int,
         val_losses[k] = _mean_sq(out[batch:] - val_rows)
         loss, grads = model._backward(out, cache, rows, sigma)
         if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite training loss at step {k}", step=k)
+            raise DivergenceError(f"non-finite training loss at step {k}", step=k,
+                                  sigma=float(sigma))
         losses[k] = loss
         opt.step(grads)
     val_losses[steps] = model.loss(val_noisy, val_rows, sigma)

@@ -82,9 +82,10 @@ def textbook_linear_dsm(X, sigma, cfg):
 
 
 def textbook_distill_linear(target, X, sigma, cfg):
-    """Stochastic Adam distillation that queries the target once per step.
+    """Stochastic distillation that queries the target once per step.
 
-    Each step draws ``cfg.batch`` row indices, then their normals. Returns
+    Each step draws ``cfg.batch`` row indices, then their normals, and takes
+    an Adam step, or a plain SGD step when ``cfg.use_adam`` is false. Returns
     ``(W, b, losses)``, or ``(None, step, losses)`` at the step where the
     loss turned non-finite.
     """
@@ -105,6 +106,21 @@ def textbook_distill_linear(target, X, sigma, cfg):
         losses.append(loss)
         grad_W = 2.0 / cfg.batch * resid.T @ noisy
         grad_b = 2.0 / cfg.batch * resid.sum(axis=0)
-        textbook_adam_step([W, b], [grad_W, grad_b], m, v, k + 1, cfg.lr,
-                           cfg.beta1, cfg.beta2, cfg.eps)
+        if cfg.use_adam:
+            textbook_adam_step([W, b], [grad_W, grad_b], m, v, k + 1, cfg.lr,
+                               cfg.beta1, cfg.beta2, cfg.eps)
+        else:
+            W -= cfg.lr * grad_W
+            b -= cfg.lr * grad_b
     return W, b, np.array(losses)
+
+
+def euler_gaussian_final(stats, schedule, x_T):
+    """Final state(s) of Euler sampling under the Gaussian denoiser, per eigenmode.
+
+    ``x_T`` is one start (d,) or k starts (k, d).
+    """
+    t, lam = schedule.values, stats.eigvals[:, None]
+    steps = 1.0 - (1.0 - t[1:] / t[:-1]) * t[:-1]**2 / (lam + t[:-1]**2)
+    gain = steps.prod(axis=1) * stats.eigvals / (stats.eigvals + t[-1]**2)
+    return stats.mean + (gain * ((x_T - stats.mean) @ stats.basis)) @ stats.basis.T

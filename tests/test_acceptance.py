@@ -44,7 +44,7 @@ from denoiselab import (
 )
 from denoiselab.synth import cluster_dataset, gaussian_dataset
 
-from conftest import FnDenoiser
+from conftest import FnDenoiser, euler_gaussian_final
 
 
 def _report(num, name, ok, detail=""):
@@ -112,14 +112,6 @@ def test_criterion_03_distillation_recovers_gaussian_structure():
     assert _report(3, "distillation recovers Gaussian weights", ok, "; ".join(details))
 
 
-def _euler_final(stats, schedule, x_T):
-    """Final state of Euler sampling under the Gaussian denoiser, per eigenmode."""
-    t, lam = schedule.values, stats.eigvals[:, None]
-    steps = 1.0 - (1.0 - t[1:] / t[:-1]) * t[:-1]**2 / (lam + t[:-1]**2)
-    gain = steps.prod(axis=1) * stats.eigvals / (stats.eigvals + t[-1]**2)
-    return stats.mean + stats.basis @ (gain * ((x_T - stats.mean) @ stats.basis))
-
-
 # 4. Euler sampling under the Gaussian denoiser vs the closed-form trajectory
 # over 20 seeds and n in {10, 50, 200, 400}: the error decreases strictly,
 # the finals at 400 steps equal Euler's own closed form, and the error halves
@@ -145,7 +137,7 @@ def test_criterion_04_trajectory_oracle():
             exact = gaussian_trajectory(stats, x_T, schedule).final
             errs.append(np.linalg.norm(euler - exact) / np.linalg.norm(exact))
             if n == 400:
-                gap = np.linalg.norm(euler - _euler_final(stats, schedule, x_T))
+                gap = np.linalg.norm(euler - euler_gaussian_final(stats, schedule, x_T))
                 euler_gap_400 = max(euler_gap_400, gap / np.linalg.norm(exact))
         mean_errors[n] = float(np.mean(errs))
         if n == 400:

@@ -226,6 +226,15 @@ def test_verify_memorize_suite_passes(capsys):
     assert "PASS memorize/gl-score" in out
 
 
+@pytest.mark.parametrize("argv", [["--suite", "memorize", "--n-starts", "0"],
+                                  ["--suite", "memorize", "--n-starts", "-1"],
+                                  ["--suite", "trajectory", "--n-seeds", "0"],
+                                  ["--suite", "trajectory", "--n-seeds", "-1"]])
+def test_verify_without_starts_exits_3(capsys, argv):
+    assert main(["verify", *argv]) == 3
+    assert "need at least one start" in capsys.readouterr().err
+
+
 def test_sample_from_toy_checkpoint_without_data(tmp_path):
     import numpy as np
 

@@ -192,6 +192,24 @@ def test_distill_block_queries_match_per_step_queries(distill_teachers, teacher,
         assert np.array_equal(losses, ref_losses)
 
 
+@pytest.mark.parametrize("batch", [2, 64])
+@pytest.mark.parametrize("teacher", ["multi-delta", "gaussian", "affine", "toy"])
+def test_distill_plain_sgd_matches_per_step_queries(distill_teachers, teacher, batch):
+    X, teachers = distill_teachers
+    for steps in (1, 5, 257):
+        cfg = DistillConfig(steps=steps, batch=batch, lr=5e-3, seed=steps + batch,
+                            use_adam=False)
+        W, b, ref_losses = textbook_distill_linear(teachers[teacher], X, 0.7, cfg)
+        fitted, losses = distill_linear(teachers[teacher], X, 0.7, cfg)
+        assert W is not None
+        assert np.array_equal(fitted.weight, W) and np.array_equal(fitted.bias, b)
+        assert np.array_equal(losses, ref_losses)
+        adam, _ = distill_linear(teachers[teacher], X, 0.7,
+                                 DistillConfig(steps=steps, batch=batch, lr=5e-3,
+                                               seed=steps + batch))
+        assert not np.array_equal(adam.weight, fitted.weight)
+
+
 # Largest gaps measured at batch 1 between block and per-step queries over 257
 # steps (a one-row product rounds differently from a block's; relative to the
 # largest reference entry, losses elementwise): W 1.4e-16, b 4.0e-16, losses 7.5e-15.
@@ -340,6 +358,7 @@ def test_train_linear_dsm_divergence_flagged(two_point_data):
     with pytest.raises(DivergenceError) as info:
         train_linear_dsm(two_point_data, 1.0, cfg)
     assert info.value.step is not None
+    assert info.value.sigma == 1.0
 
 
 def test_train_linear_dsm_matches_closed_form(rng):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from denoiselab import (
     weight_nmse,
 )
 from denoiselab.errors import DimensionMismatchError, ValueRangeError
-from denoiselab.metrics import level_seed, read_series_csv, series_to_csv, series_to_json
+from denoiselab.metrics import level_seed, series_to_csv, series_to_json
 from denoiselab.synth import cluster_dataset
 
 from conftest import FnDenoiser
@@ -241,8 +243,10 @@ def test_series_exports(tmp_path, two_point_data, two_point_stats):
         lambda s, seed: linearity_score(den, two_point_data, s, seed=seed),
         schedule, master_seed=3, name="lin", n_samples=100)
     series_to_csv(series, tmp_path / "s.csv")
-    back = read_series_csv(tmp_path / "s.csv")
-    assert back.sigmas == series.sigmas and back.values == series.values
+    with open(tmp_path / "s.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert tuple(float(r["sigma"]) for r in rows) == series.sigmas
+    assert tuple(float(r["value"]) for r in rows) == series.values
     series_to_json(series, tmp_path / "s.json")
     import json
 
@@ -257,5 +261,3 @@ def test_series_of_numpy_scalars_round_trips_through_csv(tmp_path):
     series_to_csv(series, tmp_path / "s.csv")
     assert (tmp_path / "s.csv").read_bytes() == \
         b"sigma,value,n,seed\r\n2.0,0.25,8,5\r\n0.5,1e-300,8,5\r\n"
-    back = read_series_csv(tmp_path / "s.csv")
-    assert back.sigmas == (2.0, 0.5) and back.values == (0.25, 1e-300)

@@ -109,3 +109,26 @@ def test_tracer_counts_one_teacher_call_per_block_of_distill_steps(two_point_dat
     assert totals["denoisers.multi_delta.rows"] == 9 * 64
     assert totals["optim.adam.calls"] == 9
     assert totals["distillation.distill_linear.steps"] == 9
+
+
+def test_traced_cli_sample_counts_one_nfe_per_start_and_step(tmp_path):
+    """sample-cli's exact NFE count needs one ``ode_sample`` call per start.
+
+    The tracer counts one NFE per evaluation span under ``ode_sample``, so a
+    CLI that sampled all starts in one batched call would read 5, not 15.
+    """
+    data = tmp_path / "d.csv"
+    data.write_text("1.0,0.0\n-1.0,0.0\n")
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["sample", "--data", str(data), "--denoiser", "multi-delta",
+                         "--count", "3", "--steps", "5", "--out", str(tmp_path / "out")])
+        totals = tracer.phase_totals((0, {}), tracer.mark())
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert totals["sampler.ode_sample.calls"] == 3
+    assert totals["sampler.ode_sample.nfe"] == 15
+    assert totals["denoisers.multi_delta.rows"] == 15

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from denoiselab import (
+    AffineDenoiser,
     DataMatrix,
     GaussianDenoiser,
     GaussianStats,
@@ -12,14 +13,14 @@ from denoiselab import (
     empirical_stats,
     edm_schedule,
     gaussian_trajectory,
+    init_toy,
     ode_sample,
-    read_raw_f64,
 )
-from denoiselab.errors import ValueRangeError
-from denoiselab.sampler import trajectory_to_csv, trajectory_to_raw
+from denoiselab.errors import DimensionMismatchError, ValueRangeError
+from denoiselab.sampler import Trajectory, trajectory_to_csv
 from denoiselab.synth import gaussian_dataset
 
-from conftest import FnDenoiser
+from conftest import FnDenoiser, euler_gaussian_final
 
 # printed reference levels, each truncated at the precision it was printed with
 REFERENCE_LEVELS = ["80.0", "42.415", "21.108", "9.723", "4.06", "1.501",
@@ -195,8 +196,6 @@ def test_memorization_smoke(rng):
 
 
 def test_all_builtin_denoisers_yield_finite_trajectories(rng):
-    from denoiselab import AffineDenoiser, init_toy
-
     X = DataMatrix(rng.uniform(-1, 1, size=(6, 4)))
     stats = empirical_stats(X)
     denoisers = [
@@ -224,9 +223,142 @@ def test_trajectory_exports(tmp_path, two_point_stats):
     back = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     assert np.array_equal(back[:, 0], traj.sigmas)
     assert np.array_equal(back[:, 1:], traj.states)
-    paths = trajectory_to_raw(traj, tmp_path / "steps")
-    assert len(paths) == len(traj)
-    assert np.array_equal(read_raw_f64(paths[2])[0], traj.states[2])
+
+
+def _builtin_denoisers(rng, d, n):
+    X = DataMatrix(rng.uniform(-1, 1, size=(n, d)))
+    return X, {
+        "multi-delta": MultiDeltaDenoiser(X),
+        "gaussian": GaussianDenoiser(empirical_stats(X)),
+        "affine": AffineDenoiser(0.5 * np.eye(d) + 0.05 * rng.standard_normal((d, d)),
+                                 0.1 * np.ones(d)),
+        "toy": init_toy(1, d, 16, "skip"),
+    }
+
+
+class _Counting(FnDenoiser):
+    """An identity denoiser that records the shape of every batch it gets."""
+
+    def __init__(self, dim):
+        super().__init__(dim, lambda x, sigma: x)
+        self.shapes = []
+
+    def evaluate_batch(self, X, sigma):
+        self.shapes.append(np.shape(X))
+        return super().evaluate_batch(X, sigma)
+
+
+# Largest gap measured between a batched row and its own one-start run, over
+# d in {4, 16, 64} and 30 steps: 4.4e-16 of the largest state (affine);
+# batched gaussian_trajectory against per-start calls: 7.1e-16.
+_BATCH_BAND = 2e-15
+_ORACLE_BATCH_BAND = 4e-15
+
+
+@pytest.mark.parametrize("k", [2, 64])
+@pytest.mark.parametrize("d", [4, 16])
+def test_batched_ode_sample_matches_per_start_runs(rng, k, d):
+    _, dens = _builtin_denoisers(rng, d, 4 * d)
+    schedule = edm_schedule(0.002, 80.0, 7.0, 30)
+    starts = 80.0 * rng.standard_normal((k, d))
+    for name, den in dens.items():
+        traj = ode_sample(den, schedule, starts)
+        assert traj.states.shape == (schedule.n_steps + 1, k, d)
+        assert traj.final.shape == (k, d)
+        assert np.array_equal(traj.states[0], starts)
+        per = np.stack([ode_sample(den, schedule, x).states for x in starts], axis=1)
+        gap = np.max(np.abs(traj.states - per))
+        assert gap <= _BATCH_BAND * np.max(np.abs(per)), (name, gap)
+
+
+def test_one_row_start_is_bitwise_the_vector_start(rng):
+    _, dens = _builtin_denoisers(rng, 6, 20)
+    schedule = edm_schedule(0.002, 80.0, 7.0, 25)
+    x_T = 80.0 * rng.standard_normal(6)
+    for name, den in dens.items():
+        vector = ode_sample(den, schedule, x_T)
+        row = ode_sample(den, schedule, x_T[None, :])
+        assert vector.states.shape == (26, 6) and row.states.shape == (26, 1, 6)
+        assert np.array_equal(row.states[:, 0], vector.states), name
+        assert np.array_equal(row.sigmas, vector.sigmas)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 4), (4,), (2, 2, 3), ()])
+def test_bad_start_shapes_raise_before_any_denoiser_call(shape):
+    den = _Counting(3)
+    schedule = edm_schedule(0.01, 10.0, 7.0, 5)
+    with pytest.raises(DimensionMismatchError):
+        ode_sample(den, schedule, np.ones(shape))
+    assert den.shapes == []
+    stats = GaussianStats(mean=np.zeros(3), basis=np.eye(3), eigvals=np.ones(3))
+    with pytest.raises(DimensionMismatchError):
+        gaussian_trajectory(stats, np.ones(shape), schedule)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_one_k_row_denoiser_call_per_step(k):
+    den = _Counting(3)
+    schedule = edm_schedule(0.01, 10.0, 7.0, 7)
+    traj = ode_sample(den, schedule, np.ones((k, 3)))
+    assert den.shapes == [(k, 3)] * schedule.n_steps
+    assert traj.states.shape == (schedule.n_steps + 1, k, 3)
+
+
+def test_batched_failure_carries_step_and_sigma():
+    calls = {"n": 0}
+
+    def explode(x, sigma):
+        calls["n"] += 1
+        if calls["n"] == 7:  # third step, first of three rows
+            raise ValueRangeError("boom")
+        return x
+
+    schedule = edm_schedule(0.01, 10.0, 7.0, 6)
+    with pytest.raises(ValueRangeError) as info:
+        ode_sample(FnDenoiser(2, explode), schedule, np.zeros((3, 2)))
+    assert info.value.step == 2 and info.value.sigma == float(schedule.values[2])
+
+
+@pytest.mark.parametrize("k", [2, 20])
+def test_batched_gaussian_trajectory_matches_per_start_calls(rng, k):
+    X = gaussian_dataset(4, 256, 12, mean=np.full(12, 0.5), eigvals=np.linspace(2.0, 0.2, 12))
+    stats = empirical_stats(X)
+    schedule = edm_schedule(0.002, 80.0, 7.0, 40)
+    starts = 80.0 * rng.standard_normal((k, 12))
+    traj = gaussian_trajectory(stats, starts, schedule)
+    assert traj.states.shape == (schedule.n_steps + 1, k, 12)
+    assert np.array_equal(traj.states[0], starts)
+    per = np.stack([gaussian_trajectory(stats, x, schedule).states for x in starts], axis=1)
+    assert np.max(np.abs(traj.states - per)) <= _ORACLE_BATCH_BAND * np.max(np.abs(per))
+
+
+def test_batched_euler_finals_match_the_per_eigenmode_product(rng):
+    # as acceptance criterion 4: the Gaussian denoiser is linear, so Euler's
+    # finals are a per-eigenmode product of the step factors
+    X = gaussian_dataset(3, 512, 24, mean=np.full(24, 0.5), eigvals=np.linspace(2.0, 0.2, 24))
+    stats = empirical_stats(X)
+    starts = 80.0 * rng.standard_normal((20, 24))
+    for n in (10, 400):
+        schedule = edm_schedule(0.002, 80.0, 7.0, n)
+        euler = ode_sample(GaussianDenoiser(stats), schedule, starts).final
+        exact = gaussian_trajectory(stats, starts, schedule).final
+        gap = np.linalg.norm(euler - euler_gaussian_final(stats, schedule, starts), axis=1)
+        assert np.all(gap < 1e-9 * np.linalg.norm(exact, axis=1))
+
+
+def test_trajectory_states_must_be_one_or_k_starts():
+    sigmas = np.array([1.0, 0.0])
+    assert Trajectory(sigmas, np.zeros((2, 3, 4))).final.shape == (3, 4)
+    for bad in (np.zeros(2), np.zeros((2, 1, 1, 1)), np.zeros((3, 4))):
+        with pytest.raises(DimensionMismatchError):
+            Trajectory(sigmas, bad)
+
+
+def test_trajectory_csv_refuses_a_batched_trajectory(tmp_path):
+    traj = ode_sample(_Counting(2), edm_schedule(0.01, 10.0, 7.0, 3), np.ones((2, 2)))
+    with pytest.raises(DimensionMismatchError):
+        trajectory_to_csv(traj, tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_schedule_tail(two_point_stats):

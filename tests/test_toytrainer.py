@@ -13,7 +13,7 @@ from denoiselab import (
     train_toy,
 )
 from denoiselab.dataset import noisy_rows
-from denoiselab.errors import FormatError, ValueRangeError
+from denoiselab.errors import DivergenceError, FormatError, ValueRangeError
 from denoiselab.synth import gaussian_dataset
 
 from conftest import textbook_adam_step
@@ -125,6 +125,14 @@ def test_train_validation_errors():
         train_toy(model, X, sigma=0.5, steps=10, batch=5, lr=0.1, seed=0)
     with pytest.raises(ValueRangeError):
         train_toy(model, X, sigma=0.0, steps=10, batch=2, lr=0.1, seed=0)
+
+
+def test_train_divergence_carries_step_and_sigma(two_point_data):
+    # a step of 1e160 overflows the second step's loss
+    model = init_toy(0, 2, 6, "dae")
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        train_toy(model, two_point_data, sigma=0.5, steps=5, batch=2, lr=1e160, seed=1)
+    assert info.value.step == 1 and info.value.sigma == 0.5
 
 
 def test_grad_check_fresh_and_trained(rng):
