@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import empirical_stats, load_dataset, write_csv, write_json, write_raw_f64
+from .dataset import (RAW_F64_MAGIC, empirical_stats, load_dataset, write_csv, write_json,
+                      write_raw_f64)
 from .denoisers import GaussianDenoiser, MultiDeltaDenoiser
 from .distillation import (
     AFFINE_MAGIC,
@@ -61,7 +62,7 @@ EXIT_IO = 3
 EXIT_PLUGIN = 4
 
 FORMAT_VERSIONS = {
-    "raw-f64": "DDL1",
+    "raw-f64": RAW_F64_MAGIC.decode(),
     "affine-checkpoint": AFFINE_MAGIC.decode(),
     "toy-checkpoint": TOY_MAGIC.decode(),
     "plugin-protocol": PLUGIN_MAGIC.decode(),
@@ -328,9 +329,13 @@ def cmd_verify(resolved: dict) -> int:
     if resolved["tolerance"] is not None and resolved["tolerance"] <= 0:
         raise UsageError(f"tolerance must be positive, got {resolved['tolerance']}")
     fn = SUITES[resolved["suite"]]
-    accepted = inspect.signature(fn).parameters
-    results = fn(**{key: value for key, value in resolved.items()
-                    if value is not None and key in accepted})
+    flags = {key: value for key, value in resolved.items()
+             if value is not None and key not in ("suite", "out")}
+    refused = sorted(set(flags) - set(inspect.signature(fn).parameters))
+    if refused:
+        raise UsageError(f"suite {resolved['suite']} takes no "
+                         + ", ".join("--" + key.replace("_", "-") for key in refused))
+    results = fn(**flags)
     for r in results:
         print(r.line())
     if resolved["out"]:

@@ -5,13 +5,15 @@ and covariance eigendecomposition are what the closed-form denoisers consume.
 All operations here are pure; the returned objects are treated as immutable
 and are safe for concurrent reads.
 
-Every output file is written by ``write_raw_f64``, ``write_csv`` (floats as
-their shortest round-trip ``repr``) or ``write_json``.
+Every output file is written by ``write_container`` (the DDL1, AFF1 and TOY1
+binary containers), ``write_csv`` (floats as their shortest round-trip
+``repr``) or ``write_json``; every container is read by ``read_container``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -22,8 +24,9 @@ import numpy as np
 from .errors import DimensionMismatchError, FormatError, ValueRangeError
 
 RAW_F64_MAGIC = b"DDL1"
+RAW_F64_HEADER = "<II"  # N, d
 
-#: divisor for the empirical covariance is N, not N-1
+#: eigenvalues below this fraction of the largest are clamped to exactly 0
 _EIGVAL_CLAMP_REL = 1e-12
 
 
@@ -137,19 +140,50 @@ class GaussianStats:
         return (self.basis * self.eigvals) @ self.basis.T
 
 
-def write_raw_f64(path: str | Path, values: np.ndarray) -> None:
-    """Write a matrix in the raw-f64 container: magic, u32 N, u32 d, f64 payload.
+def write_container(path: str | Path, magic: bytes, header: str, fields: tuple,
+                    arrays: Iterable[np.ndarray]) -> None:
+    """Write a binary container: ``magic``, then ``fields`` packed by the struct
+    format ``header``, then each array as little-endian f64, row-major."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(header, *fields))
+        for a in arrays:
+            fh.write(np.asarray(a, dtype="<f8").tobytes())
 
-    All integers little-endian; payload row-major IEEE-754 doubles.
+
+def read_container(path: str | Path, magic: bytes, header: str,
+                   shapes) -> tuple[tuple, list[np.ndarray]]:
+    """Read a container written by ``write_container``: (fields, arrays).
+
+    ``shapes(*fields)`` gives the array shapes and raises ``FormatError`` for
+    fields the format refuses. The payload must hold exactly the declared
+    values; that is checked before anything is allocated. The arrays are
+    writable float64 copies.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    blob = Path(path).read_bytes()
+    start = len(magic) + struct.calcsize(header)
+    if len(blob) < start:
+        raise FormatError(f"{path}: too short for a {magic.decode()} header")
+    if blob[:len(magic)] != magic:
+        raise FormatError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
+    fields = struct.unpack_from(header, blob, len(magic))
+    declared = shapes(*fields)
+    sizes = [math.prod(shape) for shape in declared]  # Python ints: u32 * u32 overflows int64
+    if len(blob) - start != 8 * sum(sizes):
+        raise DimensionMismatchError(f"{path}: header declares {sum(sizes)} values but "
+                                     f"the payload holds {len(blob) - start} bytes")
+    arrays = []
+    for shape, size in zip(declared, sizes):
+        arrays.append(np.frombuffer(blob, "<f8", size, start).reshape(shape).astype(np.float64))
+        start += 8 * size
+    return fields, arrays
+
+
+def write_raw_f64(path: str | Path, values: np.ndarray) -> None:
+    """Write a matrix in the raw-f64 (DDL1) container: u32 N, u32 d, N x d values."""
+    values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise DimensionMismatchError("raw-f64 container stores 2-D matrices")
-    n, d = values.shape
-    with open(path, "wb") as fh:
-        fh.write(RAW_F64_MAGIC)
-        fh.write(struct.pack("<II", n, d))
-        fh.write(values.astype("<f8").tobytes())
+    write_container(path, RAW_F64_MAGIC, RAW_F64_HEADER, values.shape, [values])
 
 
 def write_csv(path: str | Path, header: str | None, rows: Iterable[list], end: str) -> None:
@@ -171,19 +205,9 @@ def write_json(path: str | Path, obj) -> None:
 
 def read_raw_f64(path: str | Path) -> np.ndarray:
     """Read a matrix from the raw-f64 container, validating magic and size."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 12:
-        raise FormatError(f"{path}: too short for a raw-f64 header")
-    if blob[:4] != RAW_F64_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {RAW_F64_MAGIC!r}")
-    n, d = struct.unpack("<II", blob[4:12])
-    payload = blob[12:]
-    if len(payload) != n * d * 8:
-        raise DimensionMismatchError(
-            f"{path}: header declares {n}x{d} ({n * d} values) but payload holds "
-            f"{len(payload) // 8} values"
-        )
-    return np.frombuffer(payload, dtype="<f8").reshape(n, d).astype(np.float64)
+    _, (values,) = read_container(path, RAW_F64_MAGIC, RAW_F64_HEADER,
+                                  lambda n, d: [(n, d)])
+    return values
 
 
 def _read_pgm(path: Path) -> np.ndarray:
@@ -211,12 +235,12 @@ def _read_pgm(path: Path) -> np.ndarray:
 
     if next_token() != b"P5":
         raise FormatError(f"{path}: not a binary PGM (P5) file")
-    try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed PGM header") from exc
+    tokens = [next_token() for _ in range(3)]
+    if not all(t.isdigit() for t in tokens):  # ASCII digits only: no sign, no "_"
+        raise FormatError(f"{path}: malformed PGM header {b' '.join(tokens)!r}")
+    width, height, maxval = map(int, tokens)
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: PGM size {width}x{height} holds no pixels")
     if maxval != 255:
         raise FormatError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -130,8 +130,8 @@ class AffineDenoiser(Denoiser):
 class PerLevelDenoiser(Denoiser):
     """Dispatch table mapping each noise level to its own denoiser.
 
-    Mirrors per-level training: one model per sigma, looked up by nearest
-    level (within 1e-9 relative by default, else the closest entry).
+    Mirrors per-level training: one model per sigma. Each call uses the entry
+    whose level is nearest to its sigma (the smaller level on a tie).
     """
 
     def __init__(self, levels: dict[float, Denoiser]):

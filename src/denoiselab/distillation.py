@@ -11,13 +11,13 @@ two trainers approach it from the stochastic (Adam) and deterministic
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import DataMatrix, GaussianStats, noisy_rows, write_csv
+from .dataset import (DataMatrix, GaussianStats, noisy_rows, read_container,
+                      write_container, write_csv)
 from .denoisers import AffineDenoiser, Denoiser, GaussianDenoiser
 from .errors import (
     DimensionMismatchError,
@@ -29,6 +29,7 @@ from .errors import (
 from .optim import Adam
 
 AFFINE_MAGIC = b"AFF1"
+AFFINE_HEADER = "<Id"  # dim, sigma (NaN when unset)
 
 #: dense d x d weights and Jacobians above this are refused, not silently slow
 MAX_DENSE_DIM = 4096
@@ -234,34 +235,19 @@ def orthogonality_residual(D: Denoiser, X: DataMatrix, sigma: float,
 
 def save_affine(D: AffineDenoiser, path: str | Path) -> None:
     """Write an affine checkpoint: magic, u32 dim, f64 sigma, W row-major, b."""
-    with open(path, "wb") as fh:
-        fh.write(AFFINE_MAGIC)
-        fh.write(struct.pack("<I", D.dim))
-        fh.write(struct.pack("<d", D.sigma if D.sigma is not None else float("nan")))
-        fh.write(D.weight.astype("<f8").tobytes())
-        fh.write(D.bias.astype("<f8").tobytes())
+    sigma = D.sigma if D.sigma is not None else float("nan")
+    write_container(path, AFFINE_MAGIC, AFFINE_HEADER, (D.dim, sigma), [D.weight, D.bias])
 
 
 def load_affine(path: str | Path) -> AffineDenoiser:
     """Read an affine checkpoint written by ``save_affine``."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 16:
-        raise FormatError(f"{path}: too short for an affine checkpoint")
-    if blob[:4] != AFFINE_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {AFFINE_MAGIC!r}")
-    (dim,) = struct.unpack("<I", blob[4:8])
-    if dim == 0:
-        raise FormatError(f"{path}: checkpoint declares dimension 0")
-    (sigma,) = struct.unpack("<d", blob[8:16])
-    expected = 16 + 8 * (dim * dim + dim)
-    if len(blob) != expected:
-        raise DimensionMismatchError(
-            f"{path}: checkpoint for dim {dim} should be {expected} bytes, got {len(blob)}"
-        )
-    W = np.frombuffer(blob[16:16 + 8 * dim * dim], dtype="<f8").reshape(dim, dim)
-    b = np.frombuffer(blob[16 + 8 * dim * dim:], dtype="<f8")
-    return AffineDenoiser(weight=W.copy(), bias=b.copy(),
-                          sigma=None if np.isnan(sigma) else float(sigma))
+    def shapes(dim, sigma):
+        if dim == 0:
+            raise FormatError(f"{path}: checkpoint declares dimension 0")
+        return [(dim, dim), (dim,)]
+
+    (_, sigma), (W, b) = read_container(path, AFFINE_MAGIC, AFFINE_HEADER, shapes)
+    return AffineDenoiser(weight=W, bias=b, sigma=None if np.isnan(sigma) else float(sigma))
 
 
 def losses_to_csv(losses: np.ndarray, path: str | Path) -> None:

@@ -9,14 +9,13 @@ gradients are gated by a central-finite-difference check.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .dataset import DataMatrix, noisy_rows
+from .dataset import DataMatrix, noisy_rows, read_container, write_container
 from .denoisers import Denoiser
 from .errors import (
     DimensionMismatchError,
@@ -27,11 +26,17 @@ from .errors import (
 from .optim import Adam
 
 TOY_MAGIC = b"TOY1"
+TOY_HEADER = "<BIId"  # mode (0=dae, 1=skip), dim, hidden, sigma_data
 
 #: default scale parameter for the skip parameterization coefficients
 DEFAULT_SIGMA_DATA = 0.5
 
 _MODES = ("dae", "skip")
+
+
+def _param_shapes(dim: int, hidden: int) -> list[tuple[int, ...]]:
+    """Shapes of W1, b1, W2, b2, W3, b3, in checkpoint order."""
+    return [(dim + 1, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, dim), (dim,)]
 
 
 def default_skip_coefficients(sigma_data: float) -> tuple[Callable[[float], float],
@@ -64,9 +69,7 @@ class ToyDenoiser(Denoiser):
         W1, b1, W2, b2, W3, b3 = params
         dim = W3.shape[1]
         hidden = W1.shape[1]
-        if W1.shape != (dim + 1, hidden) or W2.shape != (hidden, hidden) \
-                or W3.shape != (hidden, dim) or b1.shape != (hidden,) \
-                or b2.shape != (hidden,) or b3.shape != (dim,):
+        if [p.shape for p in params] != _param_shapes(dim, hidden):
             raise DimensionMismatchError("inconsistent toy parameter shapes")
         self.params = [np.asarray(p, dtype=np.float64) for p in params]
         if not all(np.all(np.isfinite(p)) for p in self.params):
@@ -75,6 +78,8 @@ class ToyDenoiser(Denoiser):
         self.dim = dim
         self.hidden = hidden
         self.sigma_data = float(sigma_data)
+        if not 0.0 < self.sigma_data < np.inf:
+            raise ValueRangeError(f"sigma_data must be finite and positive, got {sigma_data}")
         if skip_coefficients is None:
             skip_coefficients = default_skip_coefficients(self.sigma_data)
         self.c_skip, self.c_out = skip_coefficients
@@ -163,11 +168,8 @@ def init_toy(seed: int, dim: int, hidden: int, mode: str = "dae",
     if dim < 1 or hidden < 1:
         raise ValueRangeError(f"dim and hidden must be positive, got {dim}, {hidden}")
     rng = np.random.default_rng(seed)
-    shapes = [(dim + 1, hidden), (hidden, hidden), (hidden, dim)]
-    params = []
-    for shape in shapes:
-        params.append(rng.standard_normal(shape) / np.sqrt(shape[0]))
-        params.append(np.zeros(shape[1]))
+    params = [rng.standard_normal(s) / np.sqrt(s[0]) if len(s) == 2 else np.zeros(s)
+              for s in _param_shapes(dim, hidden)]
     return ToyDenoiser(params, mode, sigma_data)
 
 
@@ -272,41 +274,18 @@ def save_toy(model: ToyDenoiser, path: str | Path) -> None:
     Layout: magic, mode byte (0=dae, 1=skip), u32 dim, u32 hidden, f64
     sigma_data, then W1, b1, W2, b2, W3, b3 as little-endian f64 row-major.
     """
-    with open(path, "wb") as fh:
-        fh.write(TOY_MAGIC)
-        fh.write(struct.pack("<B", _MODES.index(model.mode)))
-        fh.write(struct.pack("<II", model.dim, model.hidden))
-        fh.write(struct.pack("<d", model.sigma_data))
-        for p in model.params:
-            fh.write(p.astype("<f8").tobytes())
+    write_container(path, TOY_MAGIC, TOY_HEADER, (_MODES.index(model.mode), model.dim,
+                                                  model.hidden, model.sigma_data), model.params)
 
 
 def load_toy(path: str | Path) -> ToyDenoiser:
     """Read a checkpoint written by ``save_toy``."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 21:
-        raise FormatError(f"{path}: too short for a toy checkpoint")
-    if blob[:4] != TOY_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {TOY_MAGIC!r}")
-    mode_byte = blob[4]
-    if mode_byte >= len(_MODES):
-        raise FormatError(f"{path}: unknown mode byte {mode_byte}")
-    dim, hidden = struct.unpack("<II", blob[5:13])
-    if dim == 0 or hidden == 0:
-        raise FormatError(f"{path}: checkpoint declares dim {dim}, hidden {hidden}")
-    (sigma_data,) = struct.unpack("<d", blob[13:21])
-    shapes = [(dim + 1, hidden), (hidden,), (hidden, hidden), (hidden,),
-              (hidden, dim), (dim,)]
-    expected = 21 + 8 * sum(int(np.prod(s)) for s in shapes)
-    if len(blob) != expected:
-        raise DimensionMismatchError(
-            f"{path}: checkpoint should be {expected} bytes for dim {dim}, "
-            f"hidden {hidden}; got {len(blob)}")
-    pos = 21
-    params = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob[pos:pos + 8 * count], dtype="<f8").reshape(shape)
-        params.append(arr.copy())
-        pos += 8 * count
-    return ToyDenoiser(params, _MODES[mode_byte], sigma_data)
+    def shapes(mode, dim, hidden, sigma_data):
+        if mode >= len(_MODES):
+            raise FormatError(f"{path}: unknown mode byte {mode}")
+        if dim == 0 or hidden == 0:
+            raise FormatError(f"{path}: checkpoint declares dim {dim}, hidden {hidden}")
+        return _param_shapes(dim, hidden)
+
+    (mode, _, _, sigma_data), params = read_container(path, TOY_MAGIC, TOY_HEADER, shapes)
+    return ToyDenoiser(params, _MODES[mode], sigma_data)

@@ -301,6 +301,22 @@ def test_verify_flags_reach_a_wrapped_suite(monkeypatch):
     assert seen == {"seed": 0, "dim": 4, "steps": 7}
 
 
+@pytest.mark.parametrize("suite, flags, refused", [
+    ("theorem1", ["--n-starts", "3"], "--n-starts"),
+    ("trajectory", ["--steps", "3"], "--steps"),
+    ("memorize", ["--n-seeds", "3"], "--n-seeds"),
+    ("orthogonality", ["--tolerance", "0.5"], "--tolerance"),
+    ("orthogonality", ["--tolerance", "0.5", "--n-starts", "5", "--steps", "3",
+                       "--n-samples", "200"], "--n-starts, --steps, --tolerance"),
+])
+def test_verify_refuses_flags_its_suite_does_not_take(tmp_path, capsys, suite, flags, refused):
+    out = tmp_path / "o"
+    code = main(["verify", "--suite", suite, *flags, "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert f"suite {suite} takes no {refused}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_that_is_not_an_object_is_usage_error(tmp_path, cluster_csv, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps([1, 2]))
@@ -481,19 +497,26 @@ def _degenerate_checkpoint(path, hole):
         payload = np.zeros(_toy_payload_size(dim, hidden), "<f8").tobytes()
         path.write_bytes(_toy_header(dim, hidden) + payload)
         return f"toy:{path}"
-    blob = bytearray(_toy_ckpt(path, 3).read_bytes())  # toy-inf-weight
-    blob[21:29] = np.array([np.inf], "<f8").tobytes()  # first entry of W1
+    blob = bytearray(_toy_ckpt(path, 3).read_bytes())
+    if hole == "toy-nan-sigma-data":
+        blob[13:21] = np.array([np.nan], "<f8").tobytes()
+    else:  # toy-inf-weight
+        blob[21:29] = np.array([np.inf], "<f8").tobytes()  # first entry of W1
     path.write_bytes(bytes(blob))
     return f"toy:{path}"
 
 
-@pytest.mark.parametrize("hole", ["affine-dim-0", "toy-dim-0", "toy-hidden-0", "toy-inf-weight"])
-def test_degenerate_checkpoint_exits_3(tmp_path, hole):
+@pytest.mark.parametrize("hole", ["affine-dim-0", "toy-dim-0", "toy-hidden-0", "toy-inf-weight",
+                                  "toy-nan-sigma-data"])
+def test_degenerate_checkpoint_exits_3(tmp_path, hole, capsys):
     spec = _degenerate_checkpoint(tmp_path / "ckpt", hole)
     out = tmp_path / "o"
     code = main(["sample", "--denoiser", spec, "--dim", "3", "--steps", "3", "--out", str(out)])
     assert code == 3
     assert not (out / "finals.csv").exists()
+    if hole == "toy-nan-sigma-data":
+        assert "sigma_data" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])

@@ -72,6 +72,13 @@ def test_pgm_dir_mismatch_and_header_errors(tmp_path):
     _write_pgm(d / "short.pgm", [0], 2, 1)
     with pytest.raises(DimensionMismatchError):
         load_dataset(d, "pgm-dir")
+    (d / "short.pgm").unlink()
+    # sizes and maxval are ASCII decimal digits, and width and height are at least 1
+    for width, height, maxval, n_pixels in [("-2", "-3", 255, 6), ("1_0", "1", 255, 10),
+                                            ("+2", "1", "+255", 2), ("0", "1", 255, 0)]:
+        _write_pgm(d / "c.pgm", [0] * n_pixels, width, height, maxval)
+        with pytest.raises(FormatError):
+            load_dataset(d, "pgm-dir")
 
 
 def test_raw_f64_roundtrip(tmp_path):

@@ -24,7 +24,7 @@ from denoiselab import (
     weight_nmse,
 )
 from denoiselab.distillation import MAX_DENSE_DIM, TEACHER_ROWS, augmented_moments
-from denoiselab.errors import DivergenceError, FormatError, ValueRangeError
+from denoiselab.errors import DimensionMismatchError, DivergenceError, FormatError, ValueRangeError
 from denoiselab.synth import gaussian_dataset
 
 from conftest import FnDenoiser, textbook_distill_linear, textbook_linear_dsm
@@ -413,7 +413,7 @@ def test_affine_checkpoint_errors(tmp_path):
 
     short = tmp_path / "short.aff1"
     short.write_bytes(b"AFF1" + struct.pack("<I", 4) + struct.pack("<d", 1.0) + bytes(8))
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatchError):
         load_affine(short)
 
 

@@ -1,17 +1,18 @@
-"""The exact bytes of every text writer, edge values included.
+"""The exact bytes of every text writer and binary container, edge values included.
 
 Other tests parse outputs back with ``csv``/``json`` readers, which forgive a
 change of line end or float format. These compare whole files, so CRLF
 against LF and the ``repr`` of nan, inf, -0.0, 1e-300 and 1e22 are pinned
-file by file.
+file by file. The DDL1, AFF1 and TOY1 containers are pinned by sha256.
 """
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from denoiselab import cli
+from denoiselab import AffineDenoiser, cli, init_toy, save_affine, save_toy, write_raw_f64
 from denoiselab.distillation import losses_to_csv
 from denoiselab.jacobian import JacobianReport, save_jacobian_report
 from denoiselab.metrics import MetricSeries, series_to_csv, series_to_json
@@ -112,3 +113,42 @@ CASES = {
 def test_writer_bytes_are_pinned(writer, tmp_path, monkeypatch):
     case, expected = CASES[writer]
     assert [p.read_bytes() for p in case(tmp_path, monkeypatch)] == expected
+
+
+M = np.arange(6.0).reshape(2, 3) / 7.0
+CONTAINERS = {
+    "raw-f64 C-order": (
+        lambda p: write_raw_f64(p, M),
+        "d93de26eb86489f60bdb89e29e3844304026f65fb5a53bb3b610845dc125c2cb"),
+    "raw-f64 Fortran-order": (
+        lambda p: write_raw_f64(p, np.asfortranarray(M)),
+        "d93de26eb86489f60bdb89e29e3844304026f65fb5a53bb3b610845dc125c2cb"),
+    "raw-f64 int32": (
+        lambda p: write_raw_f64(p, np.arange(-3, 3, dtype=np.int32).reshape(3, 2)),
+        "d7a6d119b139a2624cabc7607af23570f53e219a886aaad1653dc34187c2b532"),
+    "raw-f64 float32": (
+        lambda p: write_raw_f64(p, (M / 3).astype(np.float32)),
+        "9870681dd6b1fe1c107e5da4d264f691a1c7e11a2887cd4bfaec2f14d999fa8f"),
+    "raw-f64 edge row": (
+        lambda p: write_raw_f64(p, np.array([[NAN, -0.0, 5e-324, INF]])),
+        "c7d837e828945d5d11e5f87c1bb889a3b633b4e9b9da2e6f7797d3d48c20990e"),
+    "save_affine sigma unset": (
+        lambda p: save_affine(AffineDenoiser(M[:, :2], M[1, :2]), p),
+        "d79266a71a35653b90a050b64897277368bf5fa06ea8e7cdc2aad87e2a8b6591"),
+    "save_affine sigma set": (
+        lambda p: save_affine(AffineDenoiser(M[:, :2], M[1, :2], sigma=0.25), p),
+        "ccb424133f51346e1305790fbd495e7a95876a15ee2c3f328254f34927947119"),
+    "save_toy dae": (
+        lambda p: save_toy(init_toy(3, 2, 4, "dae"), p),
+        "d997efa236d568e4424c6d332f24cefb6882edac8cc821ef5900803a6dc7caa8"),
+    "save_toy skip": (
+        lambda p: save_toy(init_toy(4, 3, 2, "skip", sigma_data=0.75), p),
+        "7def128a375d5fe2a7f575a7b3ecff45126f78296ffd690428f79c2272025457"),
+}
+
+
+@pytest.mark.parametrize("container", sorted(CONTAINERS))
+def test_container_bytes_are_pinned(container, tmp_path):
+    write, digest = CONTAINERS[container]
+    write(tmp_path / "c")
+    assert hashlib.sha256((tmp_path / "c").read_bytes()).hexdigest() == digest

@@ -13,7 +13,7 @@ from denoiselab import (
     train_toy,
 )
 from denoiselab.dataset import noisy_rows
-from denoiselab.errors import DivergenceError, FormatError, ValueRangeError
+from denoiselab.errors import DimensionMismatchError, DivergenceError, FormatError, ValueRangeError
 from denoiselab.synth import gaussian_dataset
 
 from conftest import textbook_adam_step
@@ -209,5 +209,11 @@ def test_checkpoint_errors(tmp_path):
 
     truncated.write_bytes(b"TOY1" + bytes([0]) + struct.pack("<II", 3, 4)
                           + struct.pack("<d", 0.5) + bytes(16))
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatchError):
         load_toy(truncated)
+
+
+@pytest.mark.parametrize("sigma_data", [float("nan"), float("inf"), 0.0, -0.5])
+def test_sigma_data_must_be_finite_and_positive(sigma_data):
+    with pytest.raises(ValueRangeError, match="sigma_data"):
+        init_toy(0, 3, 4, "skip", sigma_data=sigma_data)
