@@ -42,6 +42,7 @@ from .distillation import (
 )
 from .errors import DimensionMismatchError, PluginError, ToolkitError
 from .metrics import (
+    METRIC_VARIANTS,
     linearity_score,
     metric_sweep,
     score_diff,
@@ -109,22 +110,36 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
     return tokens
 
 
-def _outdir(resolved: dict) -> Path:
-    out = resolved.get("out") or os.environ.get("DENOISELAB_OUT") or "."
-    resolved["out"] = str(out)
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class _Run(contextlib.ExitStack):
+    """One subcommand run: the files it writes and the plugin children it starts.
 
+    ``path(name)`` records ``name`` and makes the output directory (``--out``,
+    then ``DENOISELAB_OUT``, then ``.``) on the first file. A run that ends
+    without an exception writes ``manifest.json``; children are shut down on
+    every exit.
+    """
 
-def _write_manifest(outdir: Path, subcommand: str, flags: dict, outputs: list[str]) -> None:
-    write_json(outdir / "manifest.json", {
-        "subcommand": subcommand,
-        "flags": flags,
-        "seed": flags.get("seed"),
-        "format_versions": FORMAT_VERSIONS,
-        "outputs": sorted(outputs),
-    })
+    def __init__(self, subcommand: str, resolved: dict):
+        super().__init__()
+        self.subcommand, self.flags, self.outputs = subcommand, resolved, []
+
+    def path(self, name: str) -> Path:
+        if not self.outputs:
+            self.flags["out"] = str(self.flags["out"] or os.environ.get("DENOISELAB_OUT") or ".")
+            Path(self.flags["out"]).mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return Path(self.flags["out"]) / name
+
+    def __exit__(self, *exc_info):
+        try:
+            if exc_info[0] is None:
+                outputs = sorted(self.outputs)
+                write_json(self.path("manifest.json"), {
+                    "subcommand": self.subcommand, "flags": self.flags,
+                    "seed": self.flags["seed"], "format_versions": FORMAT_VERSIONS,
+                    "outputs": outputs})
+        finally:
+            super().__exit__(*exc_info)
 
 
 def _load_data(resolved: dict):
@@ -138,12 +153,12 @@ def _schedule(resolved: dict):
                         resolved["rho"], resolved["steps"])
 
 
-def _build_denoiser(spec: str, data, stack: contextlib.ExitStack, dim: int | None = None):
+def _build_denoiser(spec: str, data, run: _Run, dim: int | None = None):
     """Instantiate a denoiser from its CLI spec string.
 
     Specs: ``multi-delta``, ``gaussian``, ``affine:PATH``, ``toy:PATH``,
-    ``external:COMMAND``. External children are registered with the exit
-    stack so they are shut down when the command finishes. A denoiser whose
+    ``external:COMMAND``. External children are registered with the run so
+    they are shut down when the command finishes. A denoiser whose
     dimension differs from that of ``data`` is refused.
     """
     kind, colon, arg = spec.partition(":")
@@ -160,7 +175,7 @@ def _build_denoiser(spec: str, data, stack: contextlib.ExitStack, dim: int | Non
             raise UsageError("empty external denoiser command")
         if dim is None and data is None:
             raise UsageError("external denoiser needs --data or --dim for its dimension")
-        den = stack.enter_context(ExternalDenoiser(command, dim=data.dim if dim is None else dim))
+        den = run.enter_context(ExternalDenoiser(command, dim=data.dim if dim is None else dim))
     else:
         raise UsageError(f"unknown denoiser spec {spec!r}")
     if data is not None and den.dim != data.dim:
@@ -190,12 +205,10 @@ def cmd_stats(resolved: dict) -> int:
     if not resolved["data"]:
         raise UsageError("stats needs --data")
     stats = empirical_stats(_load_data(resolved))
-    outdir = _outdir(resolved)
-    outputs = ["mean.csv", "eigvals.csv", "basis.f64"]
-    write_csv(outdir / "mean.csv", None, ([v] for v in stats.mean.tolist()), "\n")
-    write_csv(outdir / "eigvals.csv", None, ([v] for v in stats.eigvals.tolist()), "\n")
-    write_raw_f64(outdir / "basis.f64", stats.basis.T)  # one component per row
-    _write_manifest(outdir, "stats", resolved, outputs)
+    with _Run("stats", resolved) as run:
+        write_csv(run.path("mean.csv"), None, ([v] for v in stats.mean.tolist()), "\n")
+        write_csv(run.path("eigvals.csv"), None, ([v] for v in stats.eigvals.tolist()), "\n")
+        write_raw_f64(run.path("basis.f64"), stats.basis.T)  # one component per row
     return EXIT_OK
 
 
@@ -204,13 +217,11 @@ def cmd_sample(resolved: dict) -> int:
         raise UsageError(f"count must be at least 1, got {resolved['count']}")
     data = _load_data(resolved)
     schedule = _schedule(resolved)
-    outputs = []
-    with contextlib.ExitStack() as stack:
-        den = _build_denoiser(resolved["denoiser"], data, stack, resolved["dim"])
+    with _Run("sample", resolved) as run:
+        den = _build_denoiser(resolved["denoiser"], data, run, resolved["dim"])
         if resolved["oracle"] and resolved["denoiser"] != "gaussian":
             raise UsageError("--oracle only applies to the gaussian denoiser")
         stats = empirical_stats(data) if resolved["oracle"] else None
-        outdir = _outdir(resolved)
         finals = np.empty((resolved["count"], den.dim))
         oracle_gap = 0.0
         # one start per ode_sample call: each trajectory is written and dropped
@@ -220,27 +231,19 @@ def cmd_sample(resolved: dict) -> int:
             x_T = resolved["sigma_max"] * rng.standard_normal(den.dim)
             traj = ode_sample(den, schedule, x_T)
             finals[i] = traj.final
-            name = f"trajectory_{i:04d}.csv"
-            trajectory_to_csv(traj, outdir / name)
-            outputs.append(name)
+            trajectory_to_csv(traj, run.path(f"trajectory_{i:04d}.csv"))
             if stats is not None:
                 exact = gaussian_trajectory(stats, x_T, schedule)
-                oname = f"oracle_trajectory_{i:04d}.csv"
-                trajectory_to_csv(exact, outdir / oname)
-                outputs.append(oname)
+                trajectory_to_csv(exact, run.path(f"oracle_trajectory_{i:04d}.csv"))
                 gap = np.linalg.norm(traj.final - exact.final) / np.linalg.norm(exact.final)
                 oracle_gap = max(oracle_gap, float(gap))
-    write_csv(outdir / "finals.csv",
-              "sample," + ",".join(f"x{j}" for j in range(finals.shape[1])),
-              ([i, *row.tolist()] for i, row in enumerate(finals)), "\n")
-    outputs.append("finals.csv")
-    if resolved["raw"]:
-        write_raw_f64(outdir / "finals.f64", finals)
-        outputs.append("finals.f64")
-    if stats is not None:
-        write_json(outdir / "report.json", {"max_final_rel_error": oracle_gap})
-        outputs.append("report.json")
-    _write_manifest(outdir, "sample", resolved, outputs)
+        write_csv(run.path("finals.csv"),
+                  "sample," + ",".join(f"x{j}" for j in range(finals.shape[1])),
+                  ([i, *row.tolist()] for i, row in enumerate(finals)), "\n")
+        if resolved["raw"]:
+            write_raw_f64(run.path("finals.f64"), finals)
+        if stats is not None:
+            write_json(run.path("report.json"), {"max_final_rel_error": oracle_gap})
     return EXIT_OK
 
 
@@ -249,8 +252,8 @@ def _parse_sigmas(raw: str) -> list[float]:
         values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"unparseable sigma list {raw!r}") from exc
-    if not values or any(v <= 0 for v in values):
-        raise UsageError(f"sigma list must hold positive values, got {raw!r}")
+    if not values or not all(0 < v < np.inf for v in values):
+        raise UsageError(f"sigma list must hold finite positive values, got {raw!r}")
     return values
 
 
@@ -267,66 +270,60 @@ def cmd_distill(resolved: dict) -> int:
                         lr=resolved["lr"], seed=resolved["seed"])
     data = _load_data(resolved)
     stats = empirical_stats(data)
-    outputs = []
     report = {}
-    with contextlib.ExitStack() as stack:
-        teacher = _build_denoiser(resolved["teacher"], data, stack, resolved["dim"])
-        outdir = _outdir(resolved)
+    with _Run("distill", resolved) as run:
+        teacher = _build_denoiser(resolved["teacher"], data, run, resolved["dim"])
         for sigma, tag in zip(sigmas, tags):
             fitted, losses = distill_linear(teacher, data, sigma, cfg)
-            save_affine(fitted, outdir / f"affine_sigma{tag}.aff1")
-            losses_to_csv(losses, outdir / f"loss_sigma{tag}.csv")
-            outputs += [f"affine_sigma{tag}.aff1", f"loss_sigma{tag}.csv"]
+            save_affine(fitted, run.path(f"affine_sigma{tag}.aff1"))
+            losses_to_csv(losses, run.path(f"loss_sigma{tag}.csv"))
             exact = closed_form_linear(stats, sigma)
             report[tag] = {
                 "weight_nmse_vs_closed_form": weight_nmse(fitted.weight, exact.weight),
                 "final_loss": float(losses[-1]),
             }
-    write_json(outdir / "report.json", report)
-    outputs.append("report.json")
-    _write_manifest(outdir, "distill", resolved, outputs)
+        write_json(run.path("report.json"), report)
     return EXIT_OK
 
 
 def cmd_metrics(resolved: dict) -> int:
     if not resolved["data"]:
         raise UsageError("metrics needs --data")
+    metric, variants = resolved["metric"], METRIC_VARIANTS[resolved["metric"]]
+    variant = resolved["variant"] or variants[0]
+    if variant not in variants:
+        raise UsageError(f"metric {metric!r} takes --variant {' or '.join(variants)}, "
+                         f"not {variant!r}")
+    if metric == "score-diff" and not resolved["denoiser2"]:
+        raise UsageError("metric 'score-diff' needs --denoiser2")
     data = _load_data(resolved)
     schedule = _schedule(resolved)
     n, seed = resolved["n"], resolved["seed"]
-    with contextlib.ExitStack() as stack:
-        den = _build_denoiser(resolved["denoiser"], data, stack, resolved["dim"])
-        if resolved["metric"] == "linearity":
-            variant = resolved["variant"] or "cosine"
+    with _Run("metrics", resolved) as run:
+        den = _build_denoiser(resolved["denoiser"], data, run, resolved["dim"])
+        if metric == "linearity":
             series = metric_sweep(
                 lambda sigma, s: linearity_score(
                     den, data, sigma, resolved["alpha"], resolved["beta"],
                     n_pairs=n, seed=s, variant=variant),
                 schedule, master_seed=seed, name=f"linearity-{variant}", n_samples=n)
         else:
-            if not resolved["denoiser2"]:
-                raise UsageError("metric 'score-diff' needs --denoiser2")
-            den2 = _build_denoiser(resolved["denoiser2"], data, stack, resolved["dim"])
-            variant = resolved["variant"] or "rmse"
+            den2 = _build_denoiser(resolved["denoiser2"], data, run, resolved["dim"])
             series = metric_sweep(
                 lambda sigma, s: score_diff(den, den2, data, sigma, n=n, seed=s,
                                             variant=variant),
                 schedule, master_seed=seed, name=f"score-diff-{variant}", n_samples=n)
-    outdir = _outdir(resolved)
-    outputs = ["series.csv", "series.json"]
-    series_to_csv(series, outdir / "series.csv")
-    series_to_json(series, outdir / "series.json")
-    if resolved["svg"]:
-        plot_series([series], outdir / "series.svg", title=series.name)
-        outputs.append("series.svg")
-    _write_manifest(outdir, "metrics", resolved, outputs)
+        series_to_csv(series, run.path("series.csv"))
+        series_to_json(series, run.path("series.json"))
+        if resolved["svg"]:
+            plot_series([series], run.path("series.svg"), title=series.name)
     return EXIT_OK
 
 
 def cmd_verify(resolved: dict) -> int:
     if resolved["suite"] is None:
         raise UsageError("verify needs --suite")
-    if resolved["tolerance"] is not None and resolved["tolerance"] <= 0:
+    if resolved["tolerance"] is not None and not resolved["tolerance"] > 0:
         raise UsageError(f"tolerance must be positive, got {resolved['tolerance']}")
     fn = SUITES[resolved["suite"]]
     flags = {key: value for key, value in resolved.items()
@@ -338,10 +335,9 @@ def cmd_verify(resolved: dict) -> int:
     results = fn(**flags)
     for r in results:
         print(r.line())
-    if resolved["out"]:
-        outdir = _outdir(resolved)
-        write_json(outdir / "verify.json", [r.__dict__ for r in results])
-        _write_manifest(outdir, "verify", resolved, ["verify.json"])
+    if resolved["out"]:  # DENOISELAB_OUT alone writes nothing
+        with _Run("verify", resolved) as run:
+            write_json(run.path("verify.json"), [r.__dict__ for r in results])
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
@@ -414,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:  # argv[0] is the subcommand: the top level has no other flag
             args = parser.parse_args(argv[:1] + _config_argv(args) + argv[1:])
+        if args.seed < 0:  # numpy seeds are non-negative
+            raise UsageError(f"seed must be at least 0, got {args.seed}")
         return args.func({k: v for k, v in vars(args).items() if k not in _NOT_FLAGS})
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -244,7 +244,7 @@ def _read_pgm(path: Path) -> np.ndarray:
     if maxval != 255:
         raise FormatError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval
-    pixels = blob[pos : pos + width * height]
+    pixels = blob[pos:]  # exactly width * height bytes: one image per file
     if len(pixels) != width * height:
         raise DimensionMismatchError(
             f"{path}: expected {width * height} pixels, found {len(pixels)}"
@@ -284,6 +284,8 @@ def load_dataset(path: str | Path, format: str) -> DataMatrix:
             if not line:
                 continue
             try:
+                if "_" in line:  # float() reads Python's digit separator: 1_0 is 10
+                    raise ValueError(line)
                 row = [float(tok) for tok in line.split(",")]
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: unparseable value") from exc

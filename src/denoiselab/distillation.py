@@ -57,8 +57,8 @@ class DistillConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch < 1:
             raise ValueRangeError("steps and batch must be at least 1")
-        if self.lr < 0:
-            raise ValueRangeError(f"learning rate must be nonnegative, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ValueRangeError(f"learning rate must be finite and nonnegative, got {self.lr}")
 
 
 def check_dense_dim(dim: int) -> None:

@@ -21,6 +21,10 @@ from .errors import DimensionMismatchError, ValueRangeError, annotate
 from .sampler import SigmaSchedule
 
 
+#: the variants each metric takes, its default first
+METRIC_VARIANTS = {"linearity": ("cosine", "nmse"), "score-diff": ("rmse", "nmse")}
+
+
 class MetricValue(NamedTuple):
     """A metric plus how many degenerate draws had to be skipped."""
 
@@ -49,8 +53,10 @@ def linearity_score(D: Denoiser, X: DataMatrix, sigma: float,
             f"got {alpha**2 + beta**2}")
     if not sigma > 0:
         raise ValueRangeError(f"sigma must be positive, got {sigma}")
-    if variant not in ("cosine", "nmse"):
+    if variant not in METRIC_VARIANTS["linearity"]:
         raise ValueError(f"unknown linearity variant {variant!r}")
+    if n_pairs < 1:
+        raise ValueRangeError("need at least one pair")
     rng = np.random.default_rng(seed)
     _, x1 = noisy_rows(X, sigma, n_pairs, rng)
     _, x2 = noisy_rows(X, sigma, n_pairs, rng)
@@ -82,8 +88,10 @@ def score_diff(D1: Denoiser, D2: Denoiser, X: DataMatrix, sigma: float,
         raise ValueRangeError(f"sigma must be positive, got {sigma}")
     if D1.dim != D2.dim or D1.dim != X.dim:
         raise DimensionMismatchError("denoiser and data dimensions disagree")
-    if variant not in ("rmse", "nmse"):
+    if variant not in METRIC_VARIANTS["score-diff"]:
         raise ValueError(f"unknown score_diff variant {variant!r}")
+    if n < 1:
+        raise ValueRangeError("need at least one sample")
     rng = np.random.default_rng(seed)
     _, noisy = noisy_rows(X, sigma, n, rng)
     out1 = D1.evaluate_batch(noisy, sigma)

@@ -48,7 +48,8 @@ class ExternalDenoiser(Denoiser):
     dimension, at least 1 (checked before the child starts) and confirmed
     during the handshake. ``timeout`` (seconds) bounds every wait to read or
     write; a write that times out kills the child, since the stream is then
-    desynchronised. Each ``evaluate_batch`` call is one round trip.
+    desynchronised. Each ``evaluate_batch`` call is one round trip; a reply
+    holding a NaN or an infinity raises ``ValueRangeError``.
     """
 
     def __init__(self, command: list[str], dim: int, timeout: float = 30.0):
@@ -106,13 +107,12 @@ class ExternalDenoiser(Denoiser):
         return chunks
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype="<f8")
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"batch shape {X.shape} does not match plugin dimension {self.dim}")
         k = X.shape[0]
-        self._write(struct.pack("<BId", TAG_REQUEST, k, float(sigma))
-                    + X.astype("<f8").tobytes())
+        self._write(struct.pack("<BId", TAG_REQUEST, k, float(sigma)) + X.tobytes())
         header = self._read(5)
         if header[0] != TAG_RESPONSE:
             raise PluginProtocolError(f"expected response tag 0x02, got {header[0]:#x}")
@@ -120,8 +120,12 @@ class ExternalDenoiser(Denoiser):
         if reply_k != k:
             raise DimensionMismatchError(
                 f"plugin replied with {reply_k} rows to a {k}-row request")
-        payload = self._read(8 * k * self.dim)
-        return np.frombuffer(payload, dtype="<f8").reshape(k, self.dim).copy()
+        # a bytearray gives a writable array without a numpy copy: each numpy
+        # call costs several microseconds between two blocking reads
+        out = np.frombuffer(bytearray(self._read(8 * k * self.dim)), "<f8").reshape(k, self.dim)
+        if not np.isfinite(out).all():
+            raise ValueRangeError("plugin replied with a non-finite value")
+        return out
 
     def close(self) -> None:
         """Send shutdown and reap the child."""

@@ -26,7 +26,7 @@ from .errors import DimensionMismatchError, ValueRangeError, annotate
 
 @dataclass(frozen=True)
 class SigmaSchedule:
-    """Strictly decreasing positive noise levels with an implicit final 0."""
+    """Strictly decreasing finite positive noise levels with an implicit final 0."""
 
     sigma_min: float
     sigma_max: float
@@ -37,8 +37,9 @@ class SigmaSchedule:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size < 1:
             raise ValueRangeError("schedule needs at least one level")
-        if np.any(values <= 0) or np.any(np.diff(values) >= 0):
-            raise ValueRangeError("schedule levels must be positive and strictly decreasing")
+        if not (np.all(np.isfinite(values) & (values > 0)) and np.all(np.diff(values) < 0)):
+            raise ValueRangeError(
+                "schedule levels must be finite, positive and strictly decreasing")
         if values[0] != self.sigma_max or values[-1] != self.sigma_min:
             raise ValueRangeError("schedule endpoints must equal sigma_max / sigma_min exactly")
         values.setflags(write=False)
@@ -94,10 +95,10 @@ def edm_schedule(sigma_min: float, sigma_max: float, rho: float, n_steps: int) -
 
     values[i] = (sigma_max^(1/rho) + i/(n-1) * (sigma_min^(1/rho) - sigma_max^(1/rho)))^rho
     """
-    if not (0 < sigma_min < sigma_max):
-        raise ValueRangeError(f"need 0 < sigma_min < sigma_max, got {sigma_min}, {sigma_max}")
-    if rho <= 0:
-        raise ValueRangeError(f"rho must be positive, got {rho}")
+    if not (0 < sigma_min < sigma_max < np.inf):
+        raise ValueRangeError(f"need 0 < sigma_min < sigma_max < inf, got {sigma_min}, {sigma_max}")
+    if not 0 < rho < np.inf:
+        raise ValueRangeError(f"rho must be positive and finite, got {rho}")
     if n_steps < 2:
         raise ValueRangeError(f"n_steps must be at least 2, got {n_steps}")
     ramp = np.arange(n_steps) / (n_steps - 1)

@@ -58,6 +58,15 @@ def _default_data(seed: int, dim: int, n_samples: int) -> DataMatrix:
     return gaussian_dataset(seed, n_samples, dim, mean=mean, eigvals=eigvals)
 
 
+def _check_sizes(dim: int, n_samples: int, tolerance: float = 1.0) -> None:
+    """Refuse a tolerance that is not positive and a dim or sample count below 1."""
+    if not tolerance > 0:
+        raise ValueRangeError(f"tolerance must be positive, got {tolerance}")
+    for name, value in (("dim", dim), ("n_samples", n_samples)):
+        if value < 1:
+            raise ValueRangeError(f"{name} must be at least 1, got {value}")
+
+
 def _stable_lr(X: DataMatrix, sigma: float) -> float:
     """Safe step size from the curvature of the affine least-squares problem."""
     M, _ = augmented_moments(X, sigma)
@@ -67,8 +76,7 @@ def _stable_lr(X: DataMatrix, sigma: float) -> float:
 def suite_theorem1(seed: int = 0, dim: int = 16, n_samples: int = 2000,
                    steps: int = 20000, tolerance: float = 1e-3) -> list[CheckResult]:
     """Gradient descent on the clean-target objective recovers the closed form."""
-    if tolerance <= 0:
-        raise ValueRangeError(f"tolerance must be positive, got {tolerance}")
+    _check_sizes(dim, n_samples, tolerance)
     X = _default_data(seed, dim, n_samples)
     stats = empirical_stats(X)
     results = []
@@ -88,8 +96,7 @@ def suite_theorem1(seed: int = 0, dim: int = 16, n_samples: int = 2000,
 def suite_trajectory(seed: int = 0, dim: int = 24, n_samples: int = 512,
                      tolerance: float = 1e-3, n_seeds: int = 20) -> list[CheckResult]:
     """Euler sampling under the Gaussian denoiser matches the closed form."""
-    if tolerance <= 0:
-        raise ValueRangeError(f"tolerance must be positive, got {tolerance}")
+    _check_sizes(dim, n_samples, tolerance)
     if n_seeds < 1:
         raise ValueRangeError(f"need at least one start, got n_seeds={n_seeds}")
     X = _default_data(seed, dim, n_samples)
@@ -117,8 +124,7 @@ def suite_trajectory(seed: int = 0, dim: int = 24, n_samples: int = 512,
 def suite_memorize(seed: int = 0, dim: int = 16, n_samples: int = 32,
                    n_starts: int = 100, tolerance: float = 1e-2) -> list[CheckResult]:
     """Sampling with the finite-point-set denoiser reproduces training rows."""
-    if tolerance <= 0:
-        raise ValueRangeError(f"tolerance must be positive, got {tolerance}")
+    _check_sizes(dim, n_samples, tolerance)
     if n_starts < 1:
         raise ValueRangeError(f"need at least one start, got n_starts={n_starts}")
     rng = np.random.default_rng(seed)
@@ -140,6 +146,7 @@ def suite_memorize(seed: int = 0, dim: int = 16, n_samples: int = 32,
 def suite_orthogonality(seed: int = 0, dim: int = 16,
                         n_samples: int = 10_000) -> list[CheckResult]:
     """Normal equations hold for the Gaussian denoiser but not the zero map."""
+    _check_sizes(dim, n_samples)
     results = []
     for sigma in (0.5, 1.0, 4.0):
         # top eigenvalue at least 10 sigma^2 so the zero map is clearly suboptimal

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,13 @@ class FnDenoiser(Denoiser):
     def evaluate_batch(self, X, sigma):
         X = np.asarray(X, dtype=np.float64)
         return np.stack([np.asarray(self._fn(row, sigma), dtype=np.float64) for row in X])
+
+
+#: a 3-d plugin served by ``serve_plugin``: echoes its rows, and replies NaN below sigma = 1
+NAN_BELOW_ONE = [sys.executable, "-c",
+                 "import numpy as np\n"
+                 "from denoiselab.plugin import serve_plugin\n"
+                 "serve_plugin(lambda X, s: X if s >= 1 else np.full_like(X, np.nan), 3)\n"]
 
 
 @pytest.fixture

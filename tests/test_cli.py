@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,12 +12,12 @@ import numpy as np
 import pytest
 
 import denoiselab
-from denoiselab import load_affine, read_raw_f64
+from denoiselab import cli, load_affine, read_raw_f64
 from denoiselab.cli import main
 from denoiselab.verify import SUITES
 from denoiselab.synth import cluster_dataset
 
-from conftest import write_csv
+from conftest import NAN_BELOW_ONE, write_csv
 
 
 @pytest.fixture
@@ -210,6 +211,8 @@ def test_metrics_flags_win_over_config(tmp_path, cluster_csv):
 def test_verify_negative_tolerance_is_usage_error(capsys):
     assert main(["verify", "--suite", "memorize", "--tolerance", "-1"]) == 2
     assert "tolerance" in capsys.readouterr().err
+    assert main(["verify", "--suite", "memorize", "--tolerance", "nan"]) == 2
+    assert "tolerance must be positive, got nan" in capsys.readouterr().err
 
 
 def test_verify_orthogonality_suite_passes(capsys):
@@ -539,4 +542,146 @@ def test_external_plugin_dimension_mismatch_exits_3_without_traceback(tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert "plugin serves dimension 3, expected 4" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats"],
+    ["sample", "--denoiser", "gaussian", "--count", "2", "--steps", "5", "--oracle", "--raw"],
+    ["sample", "--denoiser", "multi-delta", "--steps", "5"],
+    ["distill", "--sigmas", "0.5,2", "--steps", "20", "--batch", "8"],
+    ["metrics", "--metric", "score-diff", "--denoiser2", "multi-delta", "--n", "5", "--steps", "3",
+     "--svg"],
+    ["metrics", "--n", "5", "--steps", "3"],
+    ["verify", "--suite", "memorize", "--n-starts", "5"],
+])
+def test_manifest_lists_exactly_the_files_of_the_run(tmp_path, cluster_csv, capsys, argv):
+    out = tmp_path / "o"
+    if argv[0] != "verify":
+        argv = argv + ["--data", cluster_csv]
+    assert main(argv + ["--out", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs == sorted(outputs)
+    assert sorted(outputs + ["manifest.json"]) == sorted(p.name for p in out.iterdir())
+
+
+#: a 3-d plugin that completes the handshake and exits at the first request
+DIES_AFTER_HANDSHAKE = [sys.executable, "-c", "import sys\n"
+                        "sys.stdout.buffer.write(sys.stdin.buffer.read(8))\n"]
+
+
+@pytest.mark.parametrize("subcommand, plugin, code, message", [
+    ("sample", NAN_BELOW_ONE, 3, "plugin replied with a non-finite value"),
+    ("distill", DIES_AFTER_HANDSHAKE, 4, "teacher failed in the block from step 0"),
+], ids=["sample-nan-reply", "distill-child-exits"])
+def test_run_that_fails_before_its_first_file_leaves_no_directory(tmp_path, capsys, subcommand,
+                                                                  plugin, code, message):
+    # the plugin fails the first start or the first block, before any file is written
+    data = write_csv(tmp_path / "d3.csv", [[0.5, 0.25, 0.0], [-0.5, 0.0, 0.25]])
+    spec = "external:" + shlex.join(plugin)
+    argv = (["sample", "--denoiser", spec, "--dim", "3", "--steps", "5"] if subcommand == "sample"
+            else ["distill", "--teacher", spec, "--data", str(data), "--steps", "4"])
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plugin_child_is_shut_down_when_writing_the_manifest_fails(tmp_path, monkeypatch,
+                                                                    capsys):
+    children = []
+
+    class Recorded(cli.ExternalDenoiser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    def write_json(path, obj):
+        if Path(path).name == "manifest.json":
+            raise OSError("no space left on device")
+        denoiselab.dataset.write_json(path, obj)
+
+    monkeypatch.setattr(cli, "ExternalDenoiser", Recorded)
+    monkeypatch.setattr(cli, "write_json", write_json)
+    plugin = f"external:{shlex.quote(sys.executable)} -m denoiselab.plugin_cli echo --dim 3"
+    out = tmp_path / "o"
+    code = main(["sample", "--denoiser", plugin, "--dim", "3", "--steps", "3", "--out", str(out)])
+    assert code == 3
+    assert "no space left on device" in capsys.readouterr().err
+    (child,) = children
+    assert child._proc.returncode == 0  # sent the shutdown tag and reaped, not left running
+    assert (out / "finals.csv").exists() and not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("metric, variant, flags, takes", [
+    ("linearity", "rmse", [], "cosine or nmse"),
+    ("score-diff", "cosine", ["--denoiser2", "multi-delta"], "rmse or nmse"),
+])
+def test_metrics_variant_the_metric_does_not_take_exits_2(tmp_path, cluster_csv, capsys,
+                                                          metric, variant, flags, takes):
+    out = tmp_path / "o"
+    code = main(["metrics", "--data", cluster_csv, "--metric", metric, "--variant", variant,
+                 *flags, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: metric {metric!r} takes --variant {takes}, not {variant!r}\n"
+    assert not out.exists()
+
+
+def test_metrics_score_diff_without_samples_exits_3(tmp_path, cluster_csv, capsys):
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["metrics", "--data", cluster_csv, "--metric", "score-diff",
+                     "--denoiser2", "multi-delta", "--n", "0", "--out", str(out)])
+    assert code == 3
+    assert "need at least one sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigmas", ["nan", "inf", "1,nan", "0.5,inf"])
+def test_distill_non_finite_sigmas_exit_2(tmp_path, cluster_csv, capsys, sigmas):
+    out = tmp_path / "o"
+    code = main(["distill", "--data", cluster_csv, "--sigmas", sigmas, "--steps", "10",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"sigma list must hold finite positive values, got {sigmas!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("denoiser", ["multi-delta", "gaussian"])
+@pytest.mark.parametrize("flags, message", [
+    (["--sigma-max", "inf"], "sigma_max < inf"),
+    (["--rho", "nan"], "rho must be positive and finite"),
+    (["--rho", "inf"], "rho must be positive and finite"),
+])
+def test_sample_non_finite_schedule_exits_3(tmp_path, cluster_csv, capsys, denoiser, flags,
+                                            message):
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["sample", "--data", cluster_csv, "--denoiser", denoiser, *flags,
+                     "--steps", "5", "--out", str(out)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["stats", "sample", "distill", "metrics", "verify"])
+def test_negative_seed_exits_2(tmp_path, cluster_csv, capsys, subcommand):
+    out = tmp_path / "o"
+    argv = ["--suite", "memorize"] if subcommand == "verify" else ["--data", cluster_csv]
+    assert main([subcommand, *argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("flag, value", [("--dim", "0"), ("--dim", "-1"), ("--n-samples", "0"),
+                                         ("--n-samples", "-1")])
+def test_verify_without_dimensions_or_samples_exits_3(tmp_path, capsys, suite, flag, value):
+    out = tmp_path / "o"
+    assert main(["verify", "--suite", suite, flag, value, "--out", str(out)]) == 3
+    name = flag[2:].replace("-", "_")
+    assert f"{name} must be at least 1, got {value}" in capsys.readouterr().err
     assert not out.exists()

@@ -31,6 +31,10 @@ def test_csv_errors(tmp_path):
     bad.write_text("1,zebra\n")
     with pytest.raises(FormatError):
         load_dataset(bad, "csv")
+    separator = tmp_path / "separator.csv"
+    separator.write_text("0.1_5,0\n")  # float() would read 0.15
+    with pytest.raises(FormatError):
+        load_dataset(separator, "csv")
     out_of_range = tmp_path / "range.csv"
     out_of_range.write_text("1,2\n")
     with pytest.raises(ValueRangeError):
@@ -73,6 +77,10 @@ def test_pgm_dir_mismatch_and_header_errors(tmp_path):
     with pytest.raises(DimensionMismatchError):
         load_dataset(d, "pgm-dir")
     (d / "short.pgm").unlink()
+    _write_pgm(d / "long.pgm", [0, 255, 0, 255], 2, 1)  # bytes past width * height
+    with pytest.raises(DimensionMismatchError):
+        load_dataset(d, "pgm-dir")
+    (d / "long.pgm").unlink()
     # sizes and maxval are ASCII decimal digits, and width and height are at least 1
     for width, height, maxval, n_pixels in [("-2", "-3", 255, 6), ("1_0", "1", 255, 10),
                                             ("+2", "1", "+255", 2), ("0", "1", 255, 0)]:

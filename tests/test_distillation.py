@@ -134,8 +134,9 @@ def test_distill_config_validation():
         DistillConfig(steps=0, batch=1, lr=0.1, seed=0)
     with pytest.raises(ValueRangeError):
         DistillConfig(steps=1, batch=0, lr=0.1, seed=0)
-    with pytest.raises(ValueRangeError):
-        DistillConfig(steps=1, batch=1, lr=-0.1, seed=0)
+    for lr in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueRangeError):
+            DistillConfig(steps=1, batch=1, lr=lr, seed=0)
 
 
 class _Recording(Denoiser):

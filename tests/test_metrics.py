@@ -65,6 +65,15 @@ def test_linearity_skips_zero_norm_pairs():
     assert np.isfinite(out.value)
 
 
+def test_metrics_need_at_least_one_draw(two_point_data, two_point_stats):
+    den = GaussianDenoiser(two_point_stats)
+    for n in (0, -1):
+        with pytest.raises(ValueRangeError, match="at least one sample"):
+            score_diff(den, den, two_point_data, 1.0, n=n)
+        with pytest.raises(ValueRangeError, match="at least one pair"):
+            linearity_score(den, two_point_data, 1.0, n_pairs=n)
+
+
 def test_score_diff_identical_is_zero(two_point_data, two_point_stats):
     den = GaussianDenoiser(two_point_stats)
     for variant in ("rmse", "nmse"):

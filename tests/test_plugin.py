@@ -20,9 +20,10 @@ from denoiselab.errors import (
     PluginExitError,
     PluginProtocolError,
     PluginTimeoutError,
+    ValueRangeError,
 )
 
-from conftest import write_csv
+from conftest import NAN_BELOW_ONE, write_csv
 
 ECHO = [sys.executable, "-m", "denoiselab.plugin_cli", "echo", "--dim", "3"]
 
@@ -131,6 +132,16 @@ def test_wrong_row_count_reported_as_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         plugin.evaluate_batch(np.zeros((3, 2)), 1.0)
     plugin._kill()
+
+
+def test_non_finite_reply_raises_value_range_error():
+    with ExternalDenoiser(NAN_BELOW_ONE, dim=3) as plugin:
+        X = np.ones((2, 3))
+        out = plugin.evaluate_batch(X, 1.0)
+        assert np.array_equal(out, X) and out.flags.writeable  # callers may work in place
+        with pytest.raises(ValueRangeError, match="non-finite"):
+            plugin.evaluate_batch(X, 0.5)
+    assert plugin._proc.returncode == 0  # the stream stays in step: a clean shutdown
 
 
 def test_batch_shape_validated_before_sending():

@@ -1,4 +1,4 @@
-"""Property harness for the binary containers, the PGM reader and the CLI.
+"""Property harness for the binary containers, the CSV and PGM readers and the CLI.
 
 Each reader gets a valid file cut at every length, with flipped bytes and
 with extreme header fields. It must return a valid object or raise a
@@ -6,8 +6,12 @@ with extreme header fields. It must return a valid object or raise a
 so every run tries the same ones and no example database is written.
 """
 
+import contextlib
+import io
 import math
+import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from denoiselab import (
     write_raw_f64,
 )
 from denoiselab.errors import ToolkitError
+from denoiselab.verify import SUITES
 
 #: about 2 s for this file on 2 cores
 PROPERTY = settings(max_examples=50, deadline=2000, derandomize=True, database=None)
@@ -49,6 +54,11 @@ def _affine(path):
 
 def _toy(path):
     save_toy(init_toy(0, 3, 2, "skip"), path)
+    return path.read_bytes()
+
+
+def _csv(path):
+    path.write_bytes(b"0.5,-0.25\n-1,1e-3\n")
     return path.read_bytes()
 
 
@@ -82,6 +92,7 @@ FORMATS = {
              [("<B", 4, st.sampled_from([0, 1, 2, 255])), ("<I", 5, U32), ("<I", 9, U32),
               ("<d", 13, F64)]),
     "PGM": (_pgm_dir, lambda p: load_dataset(p, "pgm-dir"), _valid_matrix, []),
+    "CSV": (_csv, lambda p: load_dataset(p, "csv"), _valid_matrix, []),
 }
 
 
@@ -126,7 +137,7 @@ def _mutate(blob, fields, data):
     return bytes(blob[:cut])
 
 
-@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("fmt", sorted(set(FORMATS) - {"CSV"}))
 def test_reader_refuses_every_truncation(tmp_path, fmt):
     path, file = _target(tmp_path, fmt)
     blob = FORMATS[fmt][0](path)
@@ -141,6 +152,21 @@ def test_reader_refuses_every_truncation(tmp_path, fmt):
 def test_container_reader_property(workdir, valid, fmt, data):
     path, file = _target(workdir, fmt)
     _read_or_refuse(fmt, path, file, _mutate(valid[fmt], FORMATS[fmt][3], data))
+
+
+def test_csv_reader_takes_or_refuses_every_truncation(tmp_path):
+    # a cut at a line end leaves a shorter valid file
+    path, file = _target(tmp_path, "CSV")
+    blob = _csv(path)
+    for cut in range(len(blob) + 1):
+        _read_or_refuse("CSV", path, file, blob[:cut])
+
+
+@PROPERTY
+@given(data=st.data())
+def test_csv_reader_property(workdir, valid, data):
+    path, file = _target(workdir, "CSV")
+    _read_or_refuse("CSV", path, file, _mutate(valid["CSV"], [], data))
 
 
 PGM_SIZE = st.sampled_from([b"1", b"2", b"02", b"0", b"00", b"-2", b"+2", b"1_0", b"2.0",
@@ -175,6 +201,13 @@ def test_pgm_reader_property(workdir, width, height, maxval, short, data):
         assert refused
 
 
+@PROPERTY
+@given(appended=st.binary(min_size=1, max_size=8))
+def test_pgm_reader_refuses_bytes_past_the_image(workdir, valid, appended):
+    path, file = _target(workdir, "PGM")
+    assert _read_or_refuse("PGM", path, file, valid["PGM"] + appended)
+
+
 @settings(PROPERTY, max_examples=30)
 @given(fmt=st.sampled_from(["AFF1", "TOY1"]), data=st.data())
 def test_cli_sample_at_a_mutated_checkpoint_exits_0_or_3(workdir, valid, fmt, data):
@@ -185,3 +218,79 @@ def test_cli_sample_at_a_mutated_checkpoint_exits_0_or_3(workdir, valid, fmt, da
     code = cli.main(["sample", "--denoiser", f"{kind}:{path}", "--dim", "3", "--steps", "3",
                      "--out", str(out)])
     assert code in (0, 3)
+
+
+NUMBER = st.sampled_from(["2", "0", "-1", "nan", "inf", "abc"])
+SMALL = st.sampled_from(["2", "3", "0", "-1"])
+DENOISER = st.none() | st.sampled_from(["gaussian", "multi-delta"])
+SCHEDULE = ["--sigma-min", "--sigma-max", "--rho", "--steps"]
+#: subcommand -> (numeric flags, of which a run sets up to two, and the
+#: other flags, drawn every run; values None mark a switch)
+CLI_FLAGS = {
+    "stats": (["--seed"], []),
+    "sample": (["--seed", "--count", *SCHEDULE],
+               [("--denoiser", DENOISER), ("--oracle", None), ("--raw", None)]),
+    "distill": (["--seed", "--batch", "--lr", "--sigmas"],
+                [("--steps", SMALL), ("--teacher", DENOISER)]),
+    "metrics": (["--seed", "--alpha", "--beta", *SCHEDULE],
+                [("--n", SMALL), ("--metric", st.sampled_from(["linearity", "score-diff"])),
+                 ("--variant", st.none() | st.sampled_from(["cosine", "nmse", "rmse"])),
+                 ("--denoiser", DENOISER), ("--denoiser2", DENOISER), ("--svg", None)]),
+    "verify": (["--seed", "--dim", "--tolerance", "--n-samples", "--n-seeds", "--n-starts"],
+               [("--suite", st.sampled_from(sorted(SUITES)))]),
+}
+#: examples per subcommand: the deep paths of sample and metrics need the most
+EXAMPLES = {"stats": 10, "sample": 70, "distill": 60, "metrics": 100, "verify": 30}
+
+
+@pytest.fixture(scope="module")
+def small_csv(workdir):
+    path = workdir / "small.csv"
+    rows = np.linspace(-0.9, 0.9, 18).reshape(6, 3)
+    path.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+    return path
+
+
+def _argv(subcommand, data):
+    numeric, other = CLI_FLAGS[subcommand]
+    argv = [subcommand]
+    for flag in data.draw(st.sets(st.sampled_from(numeric), max_size=2)):
+        argv += [flag, data.draw(NUMBER, label=flag)]
+    for flag, values in other:
+        value = data.draw(st.booleans() if values is None else values, label=flag)
+        if value is True:
+            argv.append(flag)
+        elif value:  # None and False leave the flag out
+            argv += [flag, value]
+    if "theorem1" in argv:  # its default of 20,000 steps takes half a second
+        argv += ["--steps", data.draw(SMALL, label="--steps")]
+    return argv
+
+
+@pytest.mark.parametrize("subcommand", sorted(CLI_FLAGS))
+def test_cli_exit_code_property(workdir, small_csv, subcommand):
+    # exit 0, 2, 3 or 4 (1 only from verify), no exception, traceback or numpy
+    # warning, a manifest exactly when the run finished, and no empty --out
+    out = workdir / "cli-out"
+    data_flags = [] if subcommand == "verify" else ["--data", str(small_csv)]
+
+    @settings(PROPERTY, max_examples=EXAMPLES[subcommand])
+    @given(data=st.data())
+    def run(data):
+        argv = _argv(subcommand, data) + data_flags + ["--out", str(out)]
+        shutil.rmtree(out, ignore_errors=True)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses a flag value
+                code = exc.code
+        assert code in ((0, 1, 2, 3, 4) if subcommand == "verify" else (0, 2, 3, 4))
+        assert "Traceback" not in stderr.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert (out / "manifest.json").exists() == (code in (0, 1))
+        assert not out.exists() or any(out.iterdir())
+
+    run()

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def test_edm_schedule_invalid_ranges():
         edm_schedule(0.002, 80.0, 7.0, 1)
     with pytest.raises(ValueRangeError):
         edm_schedule(0.002, 80.0, -1.0, 10)
+    for sigma_max, rho in [(np.inf, 7.0), (np.nan, 7.0), (80.0, np.nan), (80.0, np.inf)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before anything is computed
+            with pytest.raises(ValueRangeError):
+                edm_schedule(0.002, sigma_max, rho, 10)
+
+
+@pytest.mark.parametrize("values", [[np.nan, 1.0], [np.inf, 1.0], [2.0, np.nan, 1.0]])
+def test_sigma_schedule_refuses_non_finite_levels(values):
+    with pytest.raises(ValueRangeError, match="finite"):
+        SigmaSchedule(sigma_min=values[-1], sigma_max=values[0], rho=7.0, values=values)
 
 
 def test_trajectory_layout(two_point_stats):
