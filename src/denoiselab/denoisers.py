@@ -15,6 +15,9 @@ import numpy as np
 from .dataset import DataMatrix, GaussianStats, squared_distances
 from .errors import DimensionMismatchError, ValueRangeError
 
+#: noise levels from this one up square to infinity, so they are refused where they enter
+_SIGMA_CEILING = 2.0**512
+
 
 class Denoiser:
     """Interface: ``evaluate_batch(X, sigma) -> X_hat`` plus a fixed ``dim``.
@@ -48,8 +51,9 @@ class MultiDeltaDenoiser(Denoiser):
 
     Output is the softmax-weighted average of the training rows with logits
     -||x - y_i||^2 / (2 sigma^2). Weights are materialized only in the
-    max-shifted log domain, so extreme sigma neither overflows nor underflows.
-    The output always lies in the convex hull of the rows.
+    max-shifted log domain. sigma must square to a finite normal float,
+    2**-511 <= sigma < 2**512: a sigma^2 that underflows to 0 would divide
+    0 by 0. The output always lies in the convex hull of the rows.
     """
 
     def __init__(self, data: DataMatrix):
@@ -59,8 +63,10 @@ class MultiDeltaDenoiser(Denoiser):
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
         X = self._check_input(X)
-        if not sigma > 0:
-            raise ValueRangeError(f"sigma must be positive, got {sigma}")
+        if not 2.0**-511 <= sigma < _SIGMA_CEILING:
+            raise ValueRangeError(
+                f"multi-delta needs 2**-511 <= sigma < 2**512, so that sigma^2 is a "
+                f"finite normal float, got {sigma}")
         Y = self.data.values
         w = squared_distances(X, Y, self._sq_norms)  # logits, then weights, in place
         w /= -2.0 * sigma**2  # x / -c is -x / c bit for bit

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import (DataMatrix, GaussianStats, noisy_rows, read_container,
                       write_container, write_csv)
-from .denoisers import AffineDenoiser, Denoiser, GaussianDenoiser
+from .denoisers import _SIGMA_CEILING, AffineDenoiser, Denoiser, GaussianDenoiser
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -34,8 +34,8 @@ AFFINE_HEADER = "<Id"  # dim, sigma (NaN when unset)
 #: dense d x d weights and Jacobians above this are refused, not silently slow
 MAX_DENSE_DIM = 4096
 
-#: rows per teacher query in ``distill_linear``: the steps of one block share a call
-TEACHER_ROWS = 256
+#: most rows per denoiser call in ``distill_linear``'s teacher blocks and ``jacobian_fd``
+ROW_BUDGET = 256
 
 #: loss exceeding this multiple of its starting value counts as divergence
 _DIVERGENCE_FACTOR = 10.0
@@ -94,17 +94,19 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
     Returns the fitted map and the per-step loss sequence.
 
     The target's inputs do not depend on (W, b), so it is queried once per
-    block of ``max(1, TEACHER_ROWS // cfg.batch)`` steps, with every row of
+    block of ``max(1, ROW_BUDGET // cfg.batch)`` steps, with every row of
     the block. For batch >= 2 the result is bitwise equal to querying it once
     per step; at batch 1 the one-row products of a per-step query round
     differently. A target failure propagates with ``step`` (the block's first
     step) and ``sigma`` set on the exception (see ``errors.annotate``), and a
-    non-finite loss raises DivergenceError with the same two attributes.
+    non-finite loss, as after a step that overflows, raises DivergenceError
+    with the same two attributes.
     """
     if target.dim != X.dim:
         raise DimensionMismatchError(f"target dim {target.dim} != data dim {X.dim}")
-    if not sigma > 0:
-        raise ValueRangeError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < _SIGMA_CEILING:
+        raise ValueRangeError(f"sigma must be positive and below 2**512, where sigma^2 "
+                              f"overflows, got {sigma}")
     check_dense_dim(X.dim)
     d, n = X.dim, cfg.batch
     rng = np.random.default_rng(cfg.seed)
@@ -113,7 +115,7 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
     opt = Adam([W, b], lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps) \
         if cfg.use_adam else None
     losses = np.empty(cfg.steps)
-    per_block = max(1, TEACHER_ROWS // n)
+    per_block = max(1, ROW_BUDGET // n)
     block = np.empty((per_block, n, d))
     resid = np.empty((n, d))
     scaled = np.empty((n, d))
@@ -130,24 +132,25 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
             annotate(exc, f"teacher failed in the block from step {first} (sigma={sigma})",
                      step=first, sigma=float(sigma))
             raise
-        for k, x, t in zip(range(first, cfg.steps), noisy, teach):
-            np.matmul(x, W.T, out=resid)
-            resid += b
-            resid -= t
-            loss = float((resid**2).sum(axis=1).sum()) / n  # np.mean's steps, less overhead
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite distillation loss at step {k} "
-                                      f"(sigma={sigma})", step=k, sigma=float(sigma))
-            losses[k] = loss
-            np.multiply(resid, scale, out=scaled)
-            np.matmul(scaled.T, x, out=grad_W)
-            resid.sum(axis=0, out=grad_b)
-            grad_b *= scale
-            if opt is not None:
-                opt.step([grad_W, grad_b])
-            else:
-                W -= cfg.lr * grad_W
-                b -= cfg.lr * grad_b
+        with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
+            for k, x, t in zip(range(first, cfg.steps), noisy, teach):
+                np.matmul(x, W.T, out=resid)
+                resid += b
+                resid -= t
+                loss = float((resid**2).sum(axis=1).sum()) / n  # np.mean's steps, less overhead
+                if not math.isfinite(loss):
+                    raise DivergenceError(f"non-finite distillation loss at step {k} "
+                                          f"(sigma={sigma})", step=k, sigma=float(sigma))
+                losses[k] = loss
+                np.multiply(resid, scale, out=scaled)
+                np.matmul(scaled.T, x, out=grad_W)
+                resid.sum(axis=0, out=grad_b)
+                grad_b *= scale
+                if opt is not None:
+                    opt.step([grad_W, grad_b])
+                else:
+                    W -= cfg.lr * grad_W
+                    b -= cfg.lr * grad_b
     return AffineDenoiser(weight=W, bias=b, sigma=float(sigma)), losses
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import write_json, write_raw_f64
 from .denoisers import Denoiser
-from .distillation import check_dense_dim
+from .distillation import ROW_BUDGET, check_dense_dim
 from .errors import DimensionMismatchError, ValueRangeError
 from .sampler import SigmaSchedule, Trajectory, ode_sample
 
@@ -47,8 +47,11 @@ def jacobian_fd(D: Denoiser, x: np.ndarray, sigma: float,
                 h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central finite-difference Jacobian of D at x.
 
-    Column j is (D(x + h e_j) - D(x - h e_j)) / (2 h); the 2d evaluations
-    are issued as one batch.
+    Column j is (D(x + h e_j) - D(x - h e_j)) / (2 h). Each call evaluates
+    the +h and then the -h probes of up to ``ROW_BUDGET // 2`` columns, so
+    memory beyond J stays bounded and d <= 128 takes one call. Above that, a
+    block may round differently in the denoiser's products than one call of
+    all 2d probes, so J can differ from it in the last bits.
     """
     if h <= 0:
         raise ValueRangeError(f"step must be positive, got {h}")
@@ -57,9 +60,20 @@ def jacobian_fd(D: Denoiser, x: np.ndarray, sigma: float,
     if x.shape != (d,):
         raise DimensionMismatchError(f"point shape {x.shape} != (dim={d},)")
     check_dense_dim(d)
-    probes = np.concatenate([x + h * np.eye(d), x - h * np.eye(d)])
-    outputs = D.evaluate_batch(probes, sigma)
-    J = (outputs[:d] - outputs[d:]).T / (2.0 * h)
+    cols = ROW_BUDGET // 2
+    probes = np.empty((2 * min(cols, d), d))
+    J = np.empty((d, d), order="F")  # the one-call form's layout: column j is row j of J.T
+    for first in range(0, d, cols):
+        c = min(cols, d - first)
+        block, diag = probes[:2 * c], np.arange(c)
+        block[:c] = x + 0.0  # the bits of x + h I off the diagonal: -0.0 becomes 0.0
+        block[c:] = x
+        block[diag, first + diag] += h
+        block[c + diag, first + diag] -= h
+        outputs = D.evaluate_batch(block, sigma)
+        rows = J.T[first:first + c]
+        np.subtract(outputs[:c], outputs[c:], out=rows)
+        rows /= 2.0 * h
     if not np.all(np.isfinite(J)):
         raise ValueRangeError("non-finite entries in finite-difference Jacobian")
     return J
@@ -76,7 +90,10 @@ def jacobian_svd(J: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     if not 1 <= k <= J.shape[0]:
         raise ValueRangeError(f"k={k} out of range for dim {J.shape[0]}")
     U, s, Vt = np.linalg.svd(J)
-    return s[:k], U[:, :k], Vt[:k].T
+    if k == J.shape[0]:
+        return s, U, Vt.T
+    # copies, in the layout of the slices: views would keep all of U and Vt alive
+    return s[:k].copy(), U[:, :k].copy(order="K"), Vt[:k].T.copy(order="K")
 
 
 def jacobian_report(D: Denoiser, x: np.ndarray, sigma: float, k: int,

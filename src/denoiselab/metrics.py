@@ -47,10 +47,10 @@ def linearity_score(D: Denoiser, X: DataMatrix, sigma: float,
     variance; other values are rejected. Pairs whose normalizer is zero are
     skipped and counted.
     """
-    if abs(alpha**2 + beta**2 - 1.0) > 1e-12:
+    norm = float(alpha) * float(alpha) + float(beta) * float(beta)  # inf, not OverflowError
+    if abs(norm - 1.0) > 1e-12:
         raise ValueRangeError(
-            f"alpha^2 + beta^2 must be 1 to keep the combined noise variance, "
-            f"got {alpha**2 + beta**2}")
+            f"alpha^2 + beta^2 must be 1 to keep the combined noise variance, got {norm}")
     if not sigma > 0:
         raise ValueRangeError(f"sigma must be positive, got {sigma}")
     if variant not in METRIC_VARIANTS["linearity"]:

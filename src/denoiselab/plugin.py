@@ -91,7 +91,13 @@ class ExternalDenoiser(Denoiser):
                 raise PluginExitError(
                     f"plugin exited (code {self._proc.poll()}) while writing") from exc
 
-    def _read(self, n: int) -> bytes:
+    def _read(self, n: int, more: bool = False) -> bytes:
+        """The next n bytes of a frame; ``more`` says that the frame goes on after them.
+
+        A child sends nothing unasked, so the last read of a frame asks for one
+        byte more than it needs: a byte sent with the frame's end but past it
+        raises PluginProtocolError, at no extra system call.
+        """
         fd = self._proc.stdout.fileno()
         chunks = b""
         while len(chunks) < n:
@@ -99,11 +105,13 @@ class ExternalDenoiser(Denoiser):
             if not ready:
                 raise PluginTimeoutError(
                     f"no reply from plugin within {self.timeout}s")
-            got = os.read(fd, n - len(chunks))
+            got = os.read(fd, n - len(chunks) + (not more))
             if not got:
                 raise PluginExitError(
                     f"plugin exited (code {self._proc.poll()}) mid-reply")
             chunks += got
+        if len(chunks) > n:
+            raise PluginProtocolError(f"plugin sent bytes past its {n}-byte frame")
         return chunks
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
@@ -113,7 +121,7 @@ class ExternalDenoiser(Denoiser):
                 f"batch shape {X.shape} does not match plugin dimension {self.dim}")
         k = X.shape[0]
         self._write(struct.pack("<BId", TAG_REQUEST, k, float(sigma)) + X.tobytes())
-        header = self._read(5)
+        header = self._read(5, more=True)
         if header[0] != TAG_RESPONSE:
             raise PluginProtocolError(f"expected response tag 0x02, got {header[0]:#x}")
         (reply_k,) = struct.unpack("<I", header[1:])

@@ -14,13 +14,14 @@ which serves as the integration oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import GaussianStats, write_csv
-from .denoisers import Denoiser
+from .denoisers import _SIGMA_CEILING, Denoiser
 from .errors import DimensionMismatchError, ValueRangeError, annotate
 
 
@@ -87,22 +88,37 @@ class Trajectory:
 
     @property
     def final(self) -> np.ndarray:
-        return self.states[-1]
+        """``states[-1]`` as its own read-only copy, so it keeps no trajectory alive."""
+        final = self.states[-1].copy()
+        final.setflags(write=False)
+        return final
 
 
 def edm_schedule(sigma_min: float, sigma_max: float, rho: float, n_steps: int) -> SigmaSchedule:
     """Power-law interpolation of noise levels between sigma_max and sigma_min.
 
     values[i] = (sigma_max^(1/rho) + i/(n-1) * (sigma_min^(1/rho) - sigma_max^(1/rho)))^rho
+
+    sigma_max must stay below 2**512, where sigma^2 overflows, and a rho
+    whose powers sigma^(1/rho) overflow is refused.
     """
     if not (0 < sigma_min < sigma_max < np.inf):
         raise ValueRangeError(f"need 0 < sigma_min < sigma_max < inf, got {sigma_min}, {sigma_max}")
+    if not sigma_max < _SIGMA_CEILING:
+        raise ValueRangeError(f"sigma_max must be below 2**512, where sigma^2 overflows, "
+                              f"got {sigma_max}")
     if not 0 < rho < np.inf:
         raise ValueRangeError(f"rho must be positive and finite, got {rho}")
     if n_steps < 2:
         raise ValueRangeError(f"n_steps must be at least 2, got {n_steps}")
+    try:
+        top, bottom = sigma_max ** (1 / rho), sigma_min ** (1 / rho)
+    except OverflowError:
+        top = math.inf
+    if top == math.inf:  # also where 1 / rho itself overflows
+        raise ValueRangeError(f"rho={rho} overflows sigma_max^(1/rho)")
     ramp = np.arange(n_steps) / (n_steps - 1)
-    values = (sigma_max ** (1 / rho) + ramp * (sigma_min ** (1 / rho) - sigma_max ** (1 / rho))) ** rho
+    values = (top + ramp * (bottom - top)) ** rho
     values[0], values[-1] = sigma_max, sigma_min  # pin endpoints against fp drift
     return SigmaSchedule(sigma_min=sigma_min, sigma_max=sigma_max, rho=rho, values=values)
 
@@ -121,9 +137,9 @@ def ode_sample(D: Denoiser, schedule: SigmaSchedule, x_T: np.ndarray) -> Traject
 
     ``x_T`` is one start (d,) or k starts (k, d), all sent to the denoiser in
     one ``evaluate_batch`` call per step. The terminal step to level 0
-    returns D evaluated at the last positive level. A denoiser failure
-    propagates with ``step`` and ``sigma`` attributes set on the exception
-    (see ``errors.annotate``).
+    returns D evaluated at the last positive level; a non-finite value there
+    raises ValueRangeError. A denoiser failure propagates with ``step`` and
+    ``sigma`` attributes set on the exception (see ``errors.annotate``).
     """
     x_T = _start_rows(x_T, D.dim)
     sigmas = np.append(schedule.values, 0.0)
@@ -138,6 +154,10 @@ def ode_sample(D: Denoiser, schedule: SigmaSchedule, x_T: np.ndarray) -> Traject
             raise
         ratio = t_next / t
         rows[i + 1] = ratio * rows[i] + (1.0 - ratio) * denoised if t_next > 0 else denoised
+    if not np.isfinite(rows[-1]).all():  # the last output meets no denoiser input check
+        exc = ValueRangeError("non-finite final state")
+        annotate(exc, f"denoiser failed at step {i} (sigma={t})", step=i, sigma=float(t))
+        raise exc
     return Trajectory(sigmas=sigmas, states=states)
 
 

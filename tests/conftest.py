@@ -1,9 +1,17 @@
+import ast
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import denoiselab
 from denoiselab import DataMatrix, Denoiser, empirical_stats
+
+#: the source tree the tests import, which ``fresh_interpreter`` puts on its path
+SRC = Path(denoiselab.__file__).resolve().parents[1]
 
 
 class FnDenoiser(Denoiser):
@@ -133,3 +141,32 @@ def euler_gaussian_final(stats, schedule, x_T):
     steps = 1.0 - (1.0 - t[1:] / t[:-1]) * t[:-1]**2 / (lam + t[:-1]**2)
     gain = steps.prod(axis=1) * stats.eigvals / (stats.eigvals + t[-1]**2)
     return stats.mean + (gain * ((x_T - stats.mean) @ stats.basis)) @ stats.basis.T
+
+
+def fresh_interpreter(snippet, setup=""):
+    """Run ``setup`` then ``snippet`` in a new interpreter with ``src/`` on its path.
+
+    Returns the growth of its peak RSS over ``snippet``, in MB (from
+    ``resource.getrusage``), and the set of names in ``sys.modules`` at the end.
+    """
+    code = "\n".join([
+        "import resource, sys",
+        setup,
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+        snippet,
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+        "print(repr(((after - before) / 1024, sorted(sys.modules))))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    growth, modules = ast.literal_eval(done.stdout.strip().splitlines()[-1])
+    return growth, set(modules)
+
+
+def one_batch_jacobian(D, x, sigma, h=1e-4):
+    """The central-difference Jacobian with all 2d probes in one call, as a reference."""
+    d = D.dim
+    probes = np.concatenate([x + h * np.eye(d), x - h * np.eye(d)])
+    outputs = D.evaluate_batch(probes, sigma)
+    return (outputs[:d] - outputs[d:]).T / (2.0 * h)

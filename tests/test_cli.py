@@ -685,3 +685,42 @@ def test_verify_without_dimensions_or_samples_exits_3(tmp_path, capsys, suite, f
     name = flag[2:].replace("-", "_")
     assert f"{name} must be at least 1, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--sigma-max", "1e155"], "where sigma^2 overflows"),
+    (["sample", "--sigma-max", "1e155", "--denoiser", "multi-delta"], "where sigma^2 overflows"),
+    (["metrics", "--sigma-max", "1e155"], "where sigma^2 overflows"),
+    (["sample", "--rho", "0.001"], "overflows sigma_max^(1/rho)"),
+    (["metrics", "--rho", "1e-200"], "overflows sigma_max^(1/rho)"),
+    (["distill", "--sigmas", "1e155", "--steps", "3"], "where sigma^2 overflows"),
+    (["metrics", "--alpha", "1e155"], "alpha^2 + beta^2 must be 1"),
+    (["metrics", "--beta", "1e155"], "alpha^2 + beta^2 must be 1"),
+    (["sample", "--denoiser", "multi-delta", "--sigma-min", "1e-200", "--count", "2"],
+     "finite normal float"),
+    (["distill", "--sigmas", "1e-200", "--teacher", "multi-delta", "--steps", "3"],
+     "finite normal float"),
+    (["metrics", "--sigma-min", "1e-200", "--denoiser", "multi-delta"], "finite normal float"),
+    (["distill", "--lr", "1e155", "--steps", "5"], "non-finite distillation loss at step 1"),
+])
+def test_extreme_finite_values_exit_3_before_any_file(tmp_path, cluster_csv, capsys, argv,
+                                                       message):
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*argv, "--data", cluster_csv, "--out", str(out)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--sigma-min", "1e-200", "--count", "2", "--oracle"],
+    ["distill", "--sigmas", "1e-200", "--teacher", "gaussian", "--steps", "3"],
+    ["metrics", "--sigma-min", "1e-200"],
+])
+def test_gaussian_runs_at_a_level_whose_square_underflows(tmp_path, cluster_csv, argv):
+    # the Gaussian gain is 1 at sigma^2 = 0, so these runs are valid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, "--data", cluster_csv, "--out", str(tmp_path / "o")]) == 0

@@ -23,7 +23,7 @@ from denoiselab import (
     train_linear_dsm,
     weight_nmse,
 )
-from denoiselab.distillation import MAX_DENSE_DIM, TEACHER_ROWS, augmented_moments
+from denoiselab.distillation import MAX_DENSE_DIM, ROW_BUDGET, augmented_moments
 from denoiselab.errors import DimensionMismatchError, DivergenceError, FormatError, ValueRangeError
 from denoiselab.synth import gaussian_dataset
 
@@ -183,7 +183,7 @@ def distill_teachers():
 @pytest.mark.parametrize("batch", [2, 3, 64, 100, 300])
 @pytest.mark.parametrize("teacher", ["multi-delta", "gaussian", "affine", "toy", "external-echo"])
 def test_distill_block_queries_match_per_step_queries(distill_teachers, teacher, batch):
-    # 257 steps leave a partial last block; batch 300 exceeds TEACHER_ROWS
+    # 257 steps leave a partial last block; batch 300 exceeds ROW_BUDGET
     X, teachers = distill_teachers
     for steps in (1, 5, 257):
         cfg = DistillConfig(steps=steps, batch=batch, lr=5e-3, seed=steps + batch)
@@ -237,7 +237,7 @@ def test_distill_queries_the_teacher_once_per_block(distill_teachers, batch, ste
     X, teachers = distill_teachers
     teacher = _Recording(teachers["affine"])
     distill_linear(teacher, X, 0.7, DistillConfig(steps=steps, batch=batch, lr=5e-3, seed=0))
-    per_block = max(1, TEACHER_ROWS // batch)
+    per_block = max(1, ROW_BUDGET // batch)
     assert len(teacher.calls) == math.ceil(steps / per_block)
     assert sum(teacher.calls) == steps * batch
     assert all(rows == per_block * batch for rows in teacher.calls[:-1])
@@ -247,7 +247,7 @@ def test_distill_queries_the_teacher_once_per_block(distill_teachers, batch, ste
 def test_distill_nan_teacher_row_diverges_at_the_per_step_reference_step(distill_teachers,
                                                                          batch):
     X, teachers = distill_teachers
-    per_block = max(1, TEACHER_ROWS // batch)
+    per_block = max(1, ROW_BUDGET // batch)
     nan_row = (2 * per_block + 1) * batch + 1  # second step of the third block
     cfg = DistillConfig(steps=4 * per_block, batch=batch, lr=5e-3, seed=2)
     W, ref_step, _ = textbook_distill_linear(
@@ -262,7 +262,7 @@ def test_distill_nan_teacher_row_diverges_at_the_per_step_reference_step(distill
 @pytest.mark.parametrize("error", [OSError(32, "Broken pipe"), ValueRangeError("boom")])
 def test_distill_teacher_failure_sets_block_step_and_sigma(distill_teachers, error):
     X, teachers = distill_teachers
-    per_block = TEACHER_ROWS // 64
+    per_block = ROW_BUDGET // 64
     teacher = _Recording(teachers["gaussian"], fail_call=(1, error))
     cfg = DistillConfig(steps=3 * per_block, batch=64, lr=5e-3, seed=3)
     with pytest.raises(type(error)) as info:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from denoiselab import (
     MultiDeltaDenoiser,
     closed_form_linear,
     edm_schedule,
+    ExternalDenoiser,
     empirical_stats,
+    init_toy,
     jacobian_fd,
     jacobian_report,
     jacobian_svd,
@@ -20,9 +23,11 @@ from denoiselab import (
     read_raw_f64,
     singular_vector_correlation,
 )
-from denoiselab.distillation import MAX_DENSE_DIM
+from denoiselab.distillation import MAX_DENSE_DIM, ROW_BUDGET
 from denoiselab.errors import ValueRangeError
 from denoiselab.jacobian import save_jacobian_report
+
+from conftest import FnDenoiser, fresh_interpreter, one_batch_jacobian, write_csv
 
 
 def _distinct_stats(rng, d=8):
@@ -149,3 +154,105 @@ def test_jacobian_refuses_one_past_max_dense_dim():
     den = MultiDeltaDenoiser(DataMatrix(np.zeros((1, d))))
     with pytest.raises(ValueRangeError, match="desk-scale cap"):
         jacobian_fd(den, np.zeros(d), 1.0)
+
+
+def _denoisers(rng, d, n=64):
+    X = DataMatrix(rng.uniform(-1, 1, size=(n, d)))
+    return {
+        "gaussian": GaussianDenoiser(empirical_stats(X)),
+        "multi-delta": MultiDeltaDenoiser(X),
+        "affine": AffineDenoiser(rng.standard_normal((d, d)) / np.sqrt(d),
+                                 rng.standard_normal(d)),
+        "toy": init_toy(d, d, 32, "skip"),
+    }
+
+
+class _Recording(FnDenoiser):
+    """An identity denoiser that keeps a copy of every batch it gets."""
+
+    def __init__(self, dim):
+        super().__init__(dim, lambda x, sigma: x)
+        self.batches = []
+
+    def evaluate_batch(self, X, sigma):
+        self.batches.append(np.array(X))
+        return super().evaluate_batch(X, sigma)
+
+
+@pytest.mark.parametrize("d", [1, 5, 128, 129, 300])
+def test_jacobian_probes_keep_the_one_batch_bits_in_row_budget_blocks(d):
+    x = np.linspace(-1.0, 1.0, d)
+    x[::2] = -0.0  # x + h I turns these into 0.0 off the diagonal
+    den = _Recording(d)
+    jacobian_fd(den, x, 1.0)
+    assert len(den.batches) == -(-2 * d // ROW_BUDGET)
+    assert all(batch.shape[0] <= ROW_BUDGET for batch in den.batches)
+    h, eye = 1e-4, np.eye(d)
+    plus, minus = x + h * eye, x - h * eye
+    cols = ROW_BUDGET // 2
+    for first, batch in zip(range(0, d, cols), den.batches):
+        want = np.concatenate([plus[first:first + cols], minus[first:first + cols]])
+        assert batch.tobytes() == want.tobytes()  # -0.0 and 0.0 told apart
+
+
+@pytest.mark.parametrize("d", [1, 7, 64, 128])
+def test_jacobian_is_bitwise_the_one_batch_form_up_to_d_128(rng, d):
+    x = rng.uniform(-1, 1, d)
+    for name, den in _denoisers(rng, d).items():
+        for sigma in (0.3, 1.0):
+            J = jacobian_fd(den, x, sigma)
+            ref = one_batch_jacobian(den, x, sigma)
+            assert J.tobytes(order="A") == ref.tobytes(order="A"), (name, sigma)
+            assert J.flags.f_contiguous == ref.flags.f_contiguous
+
+
+def test_plugin_jacobian_is_one_request_and_bitwise_the_one_batch_form(tmp_path, rng):
+    d = 128
+    data = write_csv(tmp_path / "d.csv", rng.uniform(-1, 1, (32, d)))
+    command = [sys.executable, "-m", "denoiselab.plugin_cli", "multi-delta", "--data", data]
+    x = rng.uniform(-1, 1, d)
+    with ExternalDenoiser(command, dim=d) as plugin:
+        requests = []
+        send = plugin._write
+        plugin._write = lambda blob: (requests.append(len(blob)), send(blob))
+        J = jacobian_fd(plugin, x, 1.0)
+        assert requests == [13 + 2 * d * d * 8]
+        assert np.array_equal(J, one_batch_jacobian(plugin, x, 1.0))
+
+
+# Above d = 128 a block of 256 rows may take another BLAS kernel than the one
+# call of 2d rows. Measured at sigma = 1 on uniform data in [-1, 1], d in
+# {129, 257, 300, 513}, six seeds: the largest gap was 2.2e-11 (multi-delta),
+# about 10 units of the probe rounding eps / h = 2.2e-12.
+_BLOCK_BAND = 1e-10
+
+
+@pytest.mark.parametrize("d", [129, 300, 513])
+def test_jacobian_blocks_match_the_one_batch_form_within_a_band(rng, d):
+    x = rng.uniform(-1, 1, d)
+    for name, den in _denoisers(rng, d).items():
+        gap = np.max(np.abs(jacobian_fd(den, x, 1.0) - one_batch_jacobian(den, x, 1.0)))
+        assert gap <= _BLOCK_BAND, (name, gap)
+
+
+def test_jacobian_svd_returns_owned_top_k_blocks(rng):
+    J = rng.standard_normal((12, 12))
+    values, left, right = jacobian_svd(J, 3)
+    U, s, Vt = np.linalg.svd(J)
+    for block, want in ((values, s[:3]), (left, U[:, :3]), (right, Vt[:3].T)):
+        assert block.flags.owndata and block.base is None
+        assert block.tobytes(order="A") == want.tobytes(order="A")
+        assert block.strides == np.array(want, order="K").strides
+
+
+def test_jacobian_at_the_dense_cap_grows_the_peak_rss_by_about_j():
+    # J is 128 MiB (134 MB). 256-row blocks added 33 MB to it (growth 167 MB,
+    # 2 cores, OpenBLAS 0.3.31); the one call of 8192 probe rows grew 791 MB.
+    growth, _ = fresh_interpreter(
+        "jacobian_fd(den, x, 1.0)",
+        setup="import numpy as np\n"
+              "from denoiselab import DataMatrix, MultiDeltaDenoiser, jacobian_fd\n"
+              "rng = np.random.default_rng(0)\n"
+              "den = MultiDeltaDenoiser(DataMatrix(rng.uniform(-1, 1, (64, 4096))))\n"
+              "x = rng.uniform(-1, 1, 4096)")
+    assert growth < 220

@@ -1,4 +1,5 @@
-"""Property harness for the binary containers, the CSV and PGM readers and the CLI.
+"""Property harness for the binary containers, the CSV and PGM readers, the CLI and
+the plugin's reply frames.
 
 Each reader gets a valid file cut at every length, with flipped bytes and
 with extreme header fields. It must return a valid object or raise a
@@ -11,7 +12,11 @@ import io
 import math
 import shutil
 import struct
+import subprocess
+import sys
+import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from hypothesis import strategies as st
 from denoiselab import (
     AffineDenoiser,
     DataMatrix,
+    ExternalDenoiser,
     ToyDenoiser,
     cli,
     init_toy,
@@ -32,6 +38,7 @@ from denoiselab import (
     write_raw_f64,
 )
 from denoiselab.errors import ToolkitError
+from denoiselab.plugin import PLUGIN_MAGIC
 from denoiselab.verify import SUITES
 
 #: about 2 s for this file on 2 cores
@@ -220,7 +227,7 @@ def test_cli_sample_at_a_mutated_checkpoint_exits_0_or_3(workdir, valid, fmt, da
     assert code in (0, 3)
 
 
-NUMBER = st.sampled_from(["2", "0", "-1", "nan", "inf", "abc"])
+NUMBER = st.sampled_from(["2", "0", "-1", "nan", "inf", "abc", "1e155", "0.001", "1e-200"])
 SMALL = st.sampled_from(["2", "3", "0", "-1"])
 DENOISER = st.none() | st.sampled_from(["gaussian", "multi-delta"])
 SCHEDULE = ["--sigma-min", "--sigma-max", "--rho", "--steps"]
@@ -294,3 +301,89 @@ def test_cli_exit_code_property(workdir, small_csv, subcommand):
         assert not out.exists() or any(out.iterdir())
 
     run()
+
+
+#: a 3-d plugin child without numpy: it answers the handshake with argv[1],
+#: reads one 1-row request, answers it with argv[2] in one write and exits
+FAKE_CHILD = """
+import sys
+hello, reply = (bytes.fromhex(arg) for arg in sys.argv[1:])
+stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+stdin.read(8)
+stdout.write(hello)
+stdout.flush()
+stdin.read(13 + 3 * 8)
+stdout.write(reply)
+stdout.flush()
+"""
+HELLO = PLUGIN_MAGIC + struct.pack("<I", 3)
+ROWS = (0.5, -0.25, 1.0)
+REPLY = struct.pack("<BI3d", 0x02, 1, *ROWS)
+#: tag, k, and the first and last value of the reply
+REPLY_FIELDS = [("<B", 0, st.sampled_from([0x00, 0x01, 0x03, 0xFF])), ("<I", 1, U32),
+                ("<d", 5, F64), ("<d", 21, F64)]
+
+
+def _exchange(hello, reply):
+    """The row one request to ``FAKE_CHILD`` returns, or the ToolkitError it raises.
+
+    No case may wait out the 10 s timeout, and the child is reaped either way.
+    """
+    children, popen = [], subprocess.Popen
+
+    def recorded(*args, **kwargs):
+        children.append(popen(*args, **kwargs))
+        return children[-1]
+
+    command = [sys.executable, "-S", "-c", FAKE_CHILD, hello.hex(), reply.hex()]
+    start = time.monotonic()
+    with mock.patch.object(subprocess, "Popen", recorded):
+        try:
+            with ExternalDenoiser(command, dim=3, timeout=10.0) as plugin:
+                result = plugin.evaluate_batch(np.zeros((1, 3)), 1.0)
+        except ToolkitError as exc:  # PluginError is one
+            result = exc
+    assert time.monotonic() - start < 5.0
+    assert children[0].returncode is not None
+    return result
+
+
+def _served_row(reply):
+    """The row a reply carries, if it is a well-formed 1-row reply of finite values."""
+    if len(reply) == len(REPLY) and reply[:5] == REPLY[:5]:
+        row = struct.unpack("<3d", reply[5:])
+        if all(math.isfinite(v) for v in row):
+            return row
+    return None
+
+
+def test_plugin_reply_of_every_length_is_refused_but_the_whole_one():
+    for cut in range(len(REPLY) + 1):
+        result = _exchange(HELLO, REPLY[:cut])
+        if cut == len(REPLY):
+            assert result.shape == (1, 3) and tuple(result[0]) == ROWS
+        else:
+            assert isinstance(result, ToolkitError), cut
+
+
+@settings(PROPERTY, max_examples=30)
+@given(data=st.data())
+def test_plugin_reply_frame_property(data):
+    reply = _mutate(REPLY, REPLY_FIELDS, data)
+    reply += data.draw(st.just(b"") | st.binary(min_size=1, max_size=8), label="trailing")
+    result = _exchange(HELLO, reply)
+    row = _served_row(reply)
+    if row is None:
+        assert isinstance(result, ToolkitError)
+    else:  # the untouched reply, or one whose flips left finite values
+        assert isinstance(result, np.ndarray) and result.shape == (1, 3)
+        assert result[0].tobytes() == struct.pack("<3d", *row)
+
+
+@settings(PROPERTY, max_examples=10)
+@given(hello=st.tuples(st.integers(0, 3), st.integers(1, 255)).map(
+           lambda flip: HELLO[:flip[0]] + bytes([HELLO[flip[0]] ^ flip[1]]) + HELLO[flip[0] + 1:])
+       | st.sampled_from([0, 1, 2, 4, 2**32 - 1]).map(
+           lambda dim: PLUGIN_MAGIC + struct.pack("<I", dim)))
+def test_plugin_handshake_property(hello):
+    assert isinstance(_exchange(hello, REPLY), ToolkitError)

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -62,6 +63,72 @@ def test_edm_schedule_invalid_ranges():
             warnings.simplefilter("error")  # refused before anything is computed
             with pytest.raises(ValueRangeError):
                 edm_schedule(0.002, sigma_max, rho, 10)
+
+
+@pytest.mark.parametrize("sigma_max, rho, message", [
+    (1e155, 7.0, "where sigma"),  # sigma_max**2 overflows in the denoisers
+    (2.0**512, 7.0, "where sigma"),
+    (80.0, 0.001, "overflows sigma_max"),  # 80.0 ** 1000
+    (80.0, 1e-200, "overflows sigma_max"),
+    (80.0, 1e-320, "overflows sigma_max"),  # 1 / rho is itself infinite
+])
+def test_edm_schedule_refuses_values_whose_powers_overflow(sigma_max, rho, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueRangeError, match=message):
+            edm_schedule(0.002, sigma_max, rho, 10)
+
+
+def test_edm_schedule_takes_the_largest_squarable_sigma_and_tiny_levels():
+    top = np.nextafter(2.0**512, 0)
+    assert edm_schedule(0.002, top, 7.0, 5).values[0] == top
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = edm_schedule(1e-200, 80.0, 7.0, 5).values
+    assert values[-1] == 1e-200
+
+
+def test_ode_sample_refuses_a_non_finite_final_state():
+    # the last output goes to no denoiser input check, so ode_sample checks it
+    den = FnDenoiser(2, lambda x, sigma: x if sigma > 0.01 else np.full(2, np.nan))
+    with pytest.raises(ValueRangeError, match="non-finite final state") as info:
+        ode_sample(den, edm_schedule(0.002, 80.0, 7.0, 6), np.ones(2))
+    assert (info.value.step, info.value.sigma) == (5, 0.002)
+
+
+def test_multi_delta_sampling_refuses_a_level_whose_square_underflows():
+    den = MultiDeltaDenoiser(DataMatrix(np.array([[1.0, 0.0], [-1.0, 0.5]])))
+    schedule = edm_schedule(1e-200, 80.0, 7.0, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueRangeError, match="finite normal float") as info:
+            ode_sample(den, schedule, np.ones(2))
+    assert info.value.step == 5
+
+
+@pytest.mark.parametrize("start_shape", [(128,), (3, 128)])
+def test_final_is_an_owned_read_only_copy_of_the_last_state(rng, start_shape):
+    X, dens = _builtin_denoisers(rng, 128, 64)
+    traj = ode_sample(dens["multi-delta"], edm_schedule(0.002, 80.0, 7.0, 20),
+                      80.0 * rng.standard_normal(start_shape))
+    final = traj.final
+    assert final.shape == start_shape and final.flags.owndata and not final.flags.writeable
+    assert not np.shares_memory(final, traj.states)
+    assert final.tobytes() == traj.states[-1].tobytes()
+
+
+def test_kept_finals_do_not_keep_their_trajectories(rng):
+    # 16 finals of 200-step runs at d = 128 hold 16 x 201 x 128 x 8 B = 3.3 MB as views
+    den = AffineDenoiser(0.5 * np.eye(128), np.zeros(128))
+    schedule = edm_schedule(0.002, 80.0, 7.0, 200)
+    starts = 80.0 * rng.standard_normal((16, 128))
+    tracemalloc.start()
+    try:
+        finals = [ode_sample(den, schedule, x).final for x in starts]
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(finals) == 16 and live < 100_000
 
 
 @pytest.mark.parametrize("values", [[np.nan, 1.0], [np.inf, 1.0], [2.0, np.nan, 1.0]])

@@ -17,8 +17,9 @@ from denoiselab.distillation import losses_to_csv
 from denoiselab.jacobian import JacobianReport, save_jacobian_report
 from denoiselab.metrics import MetricSeries, series_to_csv, series_to_json
 from denoiselab.sampler import Trajectory, trajectory_to_csv
+from denoiselab.svg import plot_series
 
-from conftest import write_csv
+from conftest import fresh_interpreter, write_csv
 
 NAN, INF = float("nan"), float("inf")
 EDGE = np.array([NAN, INF, -0.0, 1e-300, 1e22, -INF, 5e-324, 0.1])
@@ -152,3 +153,24 @@ def test_container_bytes_are_pinned(container, tmp_path):
     write, digest = CONTAINERS[container]
     write(tmp_path / "c")
     assert hashlib.sha256((tmp_path / "c").read_bytes()).hexdigest() == digest
+
+
+def test_svg_escapes_the_title_and_series_names_byte_for_byte(tmp_path):
+    # the digest of the file xml.sax.saxutils.escape gave: & first, then > and <
+    series = [MetricSeries(name="a&b <c> d&amp;", sigmas=(0.002, 0.5, 80.0),
+                           values=(0.25, 1.0, -0.5), n_samples=3, seed=1),
+              MetricSeries(name=">&<", sigmas=(0.01, 1.0), values=(0.0, 0.75),
+                           n_samples=3, seed=1)]
+    plot_series(series, tmp_path / "s.svg", title="<T> & ]]> \"q\" 'a'")
+    text = (tmp_path / "s.svg").read_bytes()
+    assert b">&lt;T&gt; &amp; ]]&gt; \"q\" 'a'</text>" in text
+    assert b">a&amp;b &lt;c&gt; d&amp;amp;</text>" in text
+    assert hashlib.sha256(text).hexdigest() == \
+        "e5e25b4d169cfe7b9e6893051c53b937b9fab253ce4cf3698a2d94adee063043"
+
+
+def test_importing_the_cli_loads_no_network_stack():
+    # xml.sax.saxutils imports urllib.request, and with it http.client, ssl and email
+    _, modules = fresh_interpreter("import denoiselab.cli")
+    assert "denoiselab.cli" in modules
+    assert not modules & {"xml.sax", "urllib.request", "http.client", "ssl"}
