@@ -5,7 +5,8 @@ the clean vector. The closed-form ones here are the exact optima for two
 idealized data models: a finite point set (softmax-weighted average of the
 points) and a multivariate Gaussian (the Wiener / MMSE linear filter built
 from the empirical mean and covariance). All built-in denoisers are
-immutable and safe for concurrent evaluation.
+immutable and safe for concurrent evaluation. The noise-level rule
+(``check_sigma``) and the desk-scale limits that every module shares live here.
 """
 
 from __future__ import annotations
@@ -17,6 +18,28 @@ from .errors import DimensionMismatchError, ValueRangeError
 
 #: noise levels from this one up square to infinity, so they are refused where they enter
 _SIGMA_CEILING = 2.0**512
+#: noise levels below this one square to a subnormal float or to 0
+_SIGMA_FLOOR = 2.0**-511
+
+#: dense d x d weights and Jacobians above this are refused, not silently slow
+MAX_DENSE_DIM = 4096
+#: most rows per denoiser call in ``distill_linear``'s teacher blocks and ``jacobian_fd``
+ROW_BUDGET = 256
+
+
+def check_sigma(sigma: float, zero: bool = False) -> float:
+    """sigma as a float if 0 < sigma < 2**512 (0 <= sigma with ``zero``), else ValueRangeError."""
+    sigma = float(sigma)
+    if not (0 <= sigma if zero else 0 < sigma) or not sigma < _SIGMA_CEILING:
+        raise ValueRangeError(f"sigma must be {'nonnegative' if zero else 'positive'} and "
+                              f"below 2**512, where sigma^2 overflows, got {sigma}")
+    return sigma
+
+
+def check_dense_dim(dim: int) -> None:
+    """Refuse a dense dim x dim matrix above ``MAX_DENSE_DIM``, before allocating it."""
+    if dim > MAX_DENSE_DIM:
+        raise ValueRangeError(f"dense {dim}x{dim} matrix exceeds the {MAX_DENSE_DIM} desk-scale cap")
 
 
 class Denoiser:
@@ -51,9 +74,10 @@ class MultiDeltaDenoiser(Denoiser):
 
     Output is the softmax-weighted average of the training rows with logits
     -||x - y_i||^2 / (2 sigma^2). Weights are materialized only in the
-    max-shifted log domain. sigma must square to a finite normal float,
-    2**-511 <= sigma < 2**512: a sigma^2 that underflows to 0 would divide
-    0 by 0. The output always lies in the convex hull of the rows.
+    max-shifted log domain, where a logit of -inf is a zero weight and a row
+    with no finite logit is refused. sigma must square to a finite normal
+    float, 2**-511 <= sigma < 2**512: a sigma^2 that underflows to 0 would
+    divide 0 by 0. The output always lies in the convex hull of the rows.
     """
 
     def __init__(self, data: DataMatrix):
@@ -63,16 +87,19 @@ class MultiDeltaDenoiser(Denoiser):
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
         X = self._check_input(X)
-        if not 2.0**-511 <= sigma < _SIGMA_CEILING:
-            raise ValueRangeError(
-                f"multi-delta needs 2**-511 <= sigma < 2**512, so that sigma^2 is a "
-                f"finite normal float, got {sigma}")
+        if check_sigma(sigma) < _SIGMA_FLOOR:
+            raise ValueRangeError(f"multi-delta needs sigma >= 2**-511, so that sigma^2 is a "
+                                  f"finite normal float, got {sigma}")
         Y = self.data.values
-        w = squared_distances(X, Y, self._sq_norms)  # logits, then weights, in place
-        w /= -2.0 * sigma**2  # x / -c is -x / c bit for bit
-        w -= w.max(axis=1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # the row maxima below report it
+            w = squared_distances(X, Y, self._sq_norms)  # logits, then weights, in place
+            w /= -2.0 * sigma**2  # x / -c is -x / c bit for bit
+            top = w.max(axis=1, keepdims=True)
+            if not np.isfinite(top).all():
+                raise ValueRangeError(f"multi-delta logits overflow at sigma={sigma}")
+            w -= top
+            np.exp(w, out=w)
+            w /= w.sum(axis=1, keepdims=True)
         return w @ Y
 
 
@@ -90,9 +117,8 @@ class GaussianDenoiser(Denoiser):
         self.dim = stats.dim
 
     def shrinkage(self, sigma: float) -> np.ndarray:
-        """Per-component gain eigval / (eigval + sigma^2)."""
-        if sigma < 0:
-            raise ValueRangeError(f"sigma must be nonnegative, got {sigma}")
+        """Per-component gain eigval / (eigval + sigma^2), for 0 <= sigma < 2**512."""
+        sigma = check_sigma(sigma, zero=True)
         lam = self.stats.eigvals
         denom = lam + sigma**2
         return np.divide(lam, denom, out=np.zeros_like(lam), where=denom > 0)
@@ -176,8 +202,9 @@ def denoiser_to_score(D: Denoiser, x: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def score_batch(D: Denoiser, X: np.ndarray, sigma: float) -> np.ndarray:
-    """Vectorized ``denoiser_to_score`` over rows of X."""
-    if not sigma > 0:
-        raise ValueRangeError(f"score conversion requires sigma > 0, got {sigma}")
+    """Vectorized ``denoiser_to_score`` over rows of X; sigma^2 must be a normal float."""
+    if check_sigma(sigma) < _SIGMA_FLOOR:
+        raise ValueRangeError(f"score conversion needs sigma >= 2**-511, so that sigma^2 is "
+                              f"a finite normal float, got {sigma}")
     X = np.asarray(X, dtype=np.float64)
     return (D.evaluate_batch(X, sigma) - X) / sigma**2

@@ -18,7 +18,8 @@ import numpy as np
 
 from .dataset import (DataMatrix, GaussianStats, noisy_rows, read_container,
                       write_container, write_csv)
-from .denoisers import _SIGMA_CEILING, AffineDenoiser, Denoiser, GaussianDenoiser
+from .denoisers import (ROW_BUDGET, AffineDenoiser, Denoiser, GaussianDenoiser, check_dense_dim,
+                        check_sigma)
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -30,12 +31,6 @@ from .optim import Adam
 
 AFFINE_MAGIC = b"AFF1"
 AFFINE_HEADER = "<Id"  # dim, sigma (NaN when unset)
-
-#: dense d x d weights and Jacobians above this are refused, not silently slow
-MAX_DENSE_DIM = 4096
-
-#: most rows per denoiser call in ``distill_linear``'s teacher blocks and ``jacobian_fd``
-ROW_BUDGET = 256
 
 #: loss exceeding this multiple of its starting value counts as divergence
 _DIVERGENCE_FACTOR = 10.0
@@ -59,14 +54,6 @@ class DistillConfig:
             raise ValueRangeError("steps and batch must be at least 1")
         if not 0 <= self.lr < math.inf:
             raise ValueRangeError(f"learning rate must be finite and nonnegative, got {self.lr}")
-
-
-def check_dense_dim(dim: int) -> None:
-    """Refuse a dense dim x dim matrix above ``MAX_DENSE_DIM``, before allocating it."""
-    if dim > MAX_DENSE_DIM:
-        raise ValueRangeError(
-            f"dense {dim}x{dim} matrix exceeds the {MAX_DENSE_DIM} desk-scale cap"
-        )
 
 
 def closed_form_linear(stats: GaussianStats, sigma: float) -> AffineDenoiser:
@@ -104,9 +91,7 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
     """
     if target.dim != X.dim:
         raise DimensionMismatchError(f"target dim {target.dim} != data dim {X.dim}")
-    if not 0 < sigma < _SIGMA_CEILING:
-        raise ValueRangeError(f"sigma must be positive and below 2**512, where sigma^2 "
-                              f"overflows, got {sigma}")
+    sigma = check_sigma(sigma)
     check_dense_dim(X.dim)
     d, n = X.dim, cfg.batch
     rng = np.random.default_rng(cfg.seed)
@@ -130,7 +115,7 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
             teach = target.evaluate_batch(noisy.reshape(-1, d), sigma).reshape(noisy.shape)
         except Exception as exc:
             annotate(exc, f"teacher failed in the block from step {first} (sigma={sigma})",
-                     step=first, sigma=float(sigma))
+                     step=first, sigma=sigma)
             raise
         with np.errstate(over="ignore", invalid="ignore"):  # the loss check below reports it
             for k, x, t in zip(range(first, cfg.steps), noisy, teach):
@@ -140,7 +125,7 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
                 loss = float((resid**2).sum(axis=1).sum()) / n  # np.mean's steps, less overhead
                 if not math.isfinite(loss):
                     raise DivergenceError(f"non-finite distillation loss at step {k} "
-                                          f"(sigma={sigma})", step=k, sigma=float(sigma))
+                                          f"(sigma={sigma})", step=k, sigma=sigma)
                 losses[k] = loss
                 np.multiply(resid, scale, out=scaled)
                 np.matmul(scaled.T, x, out=grad_W)
@@ -151,7 +136,7 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
                 else:
                     W -= cfg.lr * grad_W
                     b -= cfg.lr * grad_b
-    return AffineDenoiser(weight=W, bias=b, sigma=float(sigma)), losses
+    return AffineDenoiser(weight=W, bias=b, sigma=sigma), losses
 
 
 def augmented_moments(X: DataMatrix, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -186,8 +171,7 @@ def train_linear_dsm(X: DataMatrix, sigma: float,
     product Z M, and a step size below 1 / lambda_max(M) is stable.
     Raises DivergenceError once the loss exceeds 10x its starting value.
     """
-    if not sigma > 0:
-        raise ValueRangeError(f"sigma must be positive, got {sigma}")
+    sigma = check_sigma(sigma)
     check_dense_dim(X.dim)
     d = X.dim
     M, C = augmented_moments(X, sigma)
@@ -205,13 +189,12 @@ def train_linear_dsm(X: DataMatrix, sigma: float,
         if not math.isfinite(loss) or loss > _DIVERGENCE_FACTOR * initial:
             raise DivergenceError(
                 f"gradient descent diverged at step {k}: loss {loss:.3e} "
-                f"exceeds 10x initial {initial:.3e}", step=k, sigma=float(sigma))
+                f"exceeds 10x initial {initial:.3e}", step=k, sigma=sigma)
         losses[k] = loss
         np.subtract(ZM, C, out=tmp)
         tmp *= step
         Z -= tmp
-    return AffineDenoiser(weight=Z[:, :d].copy(), bias=Z[:, d].copy(),
-                          sigma=float(sigma)), losses
+    return AffineDenoiser(weight=Z[:, :d].copy(), bias=Z[:, d].copy(), sigma=sigma), losses
 
 
 def orthogonality_residual(D: Denoiser, X: DataMatrix, sigma: float,
@@ -223,8 +206,7 @@ def orthogonality_residual(D: Denoiser, X: DataMatrix, sigma: float,
     optimal affine denoiser; bounded away from zero for clearly suboptimal
     maps like the zero map on strongly anisotropic data.
     """
-    if not sigma > 0:
-        raise ValueRangeError(f"sigma must be positive, got {sigma}")
+    sigma = check_sigma(sigma)
     if n_samples < 1:
         raise ValueRangeError("need at least one sample")
     rng = np.random.default_rng(seed)

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import write_json, write_raw_f64
-from .denoisers import Denoiser
-from .distillation import ROW_BUDGET, check_dense_dim
+from .denoisers import ROW_BUDGET, Denoiser, check_dense_dim
 from .errors import DimensionMismatchError, ValueRangeError
 from .sampler import SigmaSchedule, Trajectory, ode_sample
 

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import DataMatrix, noisy_rows, squared_distances, write_csv, write_json
-from .denoisers import Denoiser
+from .denoisers import Denoiser, check_sigma
 from .errors import DimensionMismatchError, ValueRangeError, annotate
 from .sampler import SigmaSchedule
 
@@ -51,8 +51,7 @@ def linearity_score(D: Denoiser, X: DataMatrix, sigma: float,
     if abs(norm - 1.0) > 1e-12:
         raise ValueRangeError(
             f"alpha^2 + beta^2 must be 1 to keep the combined noise variance, got {norm}")
-    if not sigma > 0:
-        raise ValueRangeError(f"sigma must be positive, got {sigma}")
+    sigma = check_sigma(sigma)
     if variant not in METRIC_VARIANTS["linearity"]:
         raise ValueError(f"unknown linearity variant {variant!r}")
     if n_pairs < 1:
@@ -84,8 +83,7 @@ def score_diff(D1: Denoiser, D2: Denoiser, X: DataMatrix, sigma: float,
     rmse: mean over draws of sqrt(||D1(y) - D2(y)||^2 / d);
     nmse: mean of ||D1(y) - D2(y)|| / ||D1(y)||.
     """
-    if not sigma > 0:
-        raise ValueRangeError(f"sigma must be positive, got {sigma}")
+    sigma = check_sigma(sigma)
     if D1.dim != D2.dim or D1.dim != X.dim:
         raise DimensionMismatchError("denoiser and data dimensions disagree")
     if variant not in METRIC_VARIANTS["score-diff"]:

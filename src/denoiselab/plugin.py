@@ -17,6 +17,7 @@ mismatches raise distinct exception types.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import select
 import struct
@@ -136,22 +137,21 @@ class ExternalDenoiser(Denoiser):
         return out
 
     def close(self) -> None:
-        """Send shutdown and reap the child."""
+        """Send shutdown, reap the child (killing it after ``timeout``) and close its pipes."""
         if self._proc.poll() is None:
-            try:
+            with contextlib.suppress(PluginExitError, PluginTimeoutError):
                 self._write(struct.pack("<B", TAG_SHUTDOWN))
                 self._proc.stdin.close()
-            except (PluginExitError, PluginTimeoutError):
-                pass
-            try:
+            with contextlib.suppress(subprocess.TimeoutExpired):  # killed below
                 self._proc.wait(timeout=self.timeout)
-            except subprocess.TimeoutExpired:
-                self._kill()
+        self._kill()
 
     def _kill(self) -> None:
         if self._proc.poll() is None:
             self._proc.kill()
             self._proc.wait()
+        self._proc.stdin.close()
+        self._proc.stdout.close()
 
     def __enter__(self):
         return self
@@ -160,10 +160,8 @@ class ExternalDenoiser(Denoiser):
         self.close()
 
     def __del__(self):
-        try:
+        with contextlib.suppress(Exception):  # also where __init__ failed before _proc
             self._kill()
-        except Exception:
-            pass
 
 
 def external_denoise(endpoint: ExternalDenoiser, batch: np.ndarray,

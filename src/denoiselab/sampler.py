@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import GaussianStats, write_csv
-from .denoisers import _SIGMA_CEILING, Denoiser
+from .denoisers import Denoiser, check_sigma
 from .errors import DimensionMismatchError, ValueRangeError, annotate
 
 
@@ -104,9 +104,7 @@ def edm_schedule(sigma_min: float, sigma_max: float, rho: float, n_steps: int) -
     """
     if not (0 < sigma_min < sigma_max < np.inf):
         raise ValueRangeError(f"need 0 < sigma_min < sigma_max < inf, got {sigma_min}, {sigma_max}")
-    if not sigma_max < _SIGMA_CEILING:
-        raise ValueRangeError(f"sigma_max must be below 2**512, where sigma^2 overflows, "
-                              f"got {sigma_max}")
+    check_sigma(sigma_max)
     if not 0 < rho < np.inf:
         raise ValueRangeError(f"rho must be positive and finite, got {rho}")
     if n_steps < 2:

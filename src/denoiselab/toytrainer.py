@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import DataMatrix, noisy_rows, read_container, write_container
-from .denoisers import Denoiser
+from .denoisers import Denoiser, check_sigma
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -90,8 +90,7 @@ class ToyDenoiser(Denoiser):
 
     def _forward(self, X: np.ndarray, sigma: float):
         """Forward pass returning the output and cached activations."""
-        if not sigma > 0:
-            raise ValueRangeError(f"toy denoiser needs sigma > 0, got {sigma}")
+        sigma = check_sigma(sigma)
         W1, b1, W2, b2, W3, b3 = self.params
         a0 = np.concatenate([X, np.full((X.shape[0], 1), np.log(sigma))], axis=1)
         a1 = a0 @ W1
@@ -206,8 +205,7 @@ def train_toy(model: ToyDenoiser, X: DataMatrix, sigma: float, steps: int,
     """
     if model.dim != X.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != data dim {X.dim}")
-    if not sigma > 0:
-        raise ValueRangeError(f"sigma must be positive, got {sigma}")
+    sigma = check_sigma(sigma)
     if not 1 <= batch <= X.n_samples:
         raise ValueRangeError(f"batch must be in [1, {X.n_samples}], got {batch}")
     if steps < 1:
@@ -223,8 +221,7 @@ def train_toy(model: ToyDenoiser, X: DataMatrix, sigma: float, steps: int,
         val_losses[k] = _mean_sq(out[batch:] - val_rows)
         loss, grads = model._backward(out, cache, rows, sigma)
         if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite training loss at step {k}", step=k,
-                                  sigma=float(sigma))
+            raise DivergenceError(f"non-finite training loss at step {k}", step=k, sigma=sigma)
         losses[k] = loss
         opt.step(grads)
     val_losses[steps] = model.loss(val_noisy, val_rows, sigma)

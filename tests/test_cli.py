@@ -702,6 +702,8 @@ def test_verify_without_dimensions_or_samples_exits_3(tmp_path, capsys, suite, f
      "finite normal float"),
     (["metrics", "--sigma-min", "1e-200", "--denoiser", "multi-delta"], "finite normal float"),
     (["distill", "--lr", "1e155", "--steps", "5"], "non-finite distillation loss at step 1"),
+    (["sample", "--sigma-max", "1e154", "--denoiser", "multi-delta"],  # |x_T|^2 overflows
+     "multi-delta logits overflow"),
 ])
 def test_extreme_finite_values_exit_3_before_any_file(tmp_path, cluster_csv, capsys, argv,
                                                        message):
@@ -724,3 +726,12 @@ def test_gaussian_runs_at_a_level_whose_square_underflows(tmp_path, cluster_csv,
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([*argv, "--data", cluster_csv, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_multi_delta_sampling_where_far_logits_overflow_prints_no_warning(tmp_path):
+    # at sigma = 2e-154, logits of rows more than about 3.8 apart overflow to -inf: zero weights
+    data = write_csv(tmp_path / "wide.csv", np.random.default_rng(8).uniform(-1, 1, (8, 128)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sample", "--data", str(data), "--denoiser", "multi-delta",
+                     "--sigma-min", "2e-154", "--steps", "5", "--out", str(tmp_path / "o")]) == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from denoiselab import (
     AffineDenoiser,
     DataMatrix,
     Denoiser,
+    DistillConfig,
     GaussianDenoiser,
     GaussianStats,
     MultiDeltaDenoiser,
@@ -14,10 +17,19 @@ from denoiselab import (
     affine_denoise,
     closed_form_linear,
     denoiser_to_score,
+    distill_linear,
+    edm_schedule,
     empirical_stats,
     gaussian_denoise,
+    init_toy,
+    jacobian_fd,
+    linearity_score,
     multi_delta_denoise,
+    orthogonality_residual,
     score_batch,
+    score_diff,
+    train_linear_dsm,
+    train_toy,
 )
 from denoiselab.errors import DimensionMismatchError, ValueRangeError
 
@@ -207,3 +219,93 @@ def test_denoiser_without_evaluate_batch_raises_not_implemented():
     with pytest.raises(NotImplementedError):
         Bare().evaluate_batch(np.zeros((3, 2)), 1.0)
 
+
+
+_DATA = DataMatrix(np.random.default_rng(5).uniform(-1, 1, size=(6, 3)))
+_STATS = empirical_stats(_DATA)
+_CFG = DistillConfig(steps=3, batch=2, lr=0.01, seed=0)
+
+#: every library entry point that takes a noise level, called at sigma s
+SIGMA_ENTRY_POINTS = {
+    "shrinkage": lambda s: GaussianDenoiser(_STATS).shrinkage(s),
+    "gaussian": lambda s: GaussianDenoiser(_STATS).evaluate_batch(_DATA.values, s),
+    "closed_form_linear": lambda s: closed_form_linear(_STATS, s),
+    "multi-delta": lambda s: MultiDeltaDenoiser(_DATA).evaluate_batch(_DATA.values, s),
+    "score_batch": lambda s: score_batch(GaussianDenoiser(_STATS), _DATA.values, s),
+    "distill_linear": lambda s: distill_linear(GaussianDenoiser(_STATS), _DATA, s, _CFG),
+    "train_linear_dsm": lambda s: train_linear_dsm(_DATA, s, _CFG),
+    "orthogonality_residual": lambda s: orthogonality_residual(
+        GaussianDenoiser(_STATS), _DATA, s, 4, 0),
+    "linearity_score": lambda s: linearity_score(GaussianDenoiser(_STATS), _DATA, s, n_pairs=4),
+    "score_diff": lambda s: score_diff(GaussianDenoiser(_STATS), MultiDeltaDenoiser(_DATA),
+                                       _DATA, s, n=4),
+    "jacobian_fd": lambda s: jacobian_fd(GaussianDenoiser(_STATS), np.zeros(3), s),
+    "toy-dae": lambda s: init_toy(0, 3, 4).evaluate_batch(_DATA.values, s),
+    "toy-skip": lambda s: init_toy(0, 3, 4, "skip").evaluate_batch(_DATA.values, s),
+    "train_toy": lambda s: train_toy(init_toy(0, 3, 4), _DATA, s, 2, 2, 1e-3, 0),
+    "edm_schedule": lambda s: edm_schedule(0.002, s, 7.0, 10),
+}
+
+#: the entry points that take sigma = 0, where the Gaussian gain is its continuous limit
+TAKE_ZERO = ("shrinkage", "gaussian", "closed_form_linear", "jacobian_fd")
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -1.0, 1e155, 2.0**512])
+@pytest.mark.parametrize("entry", sorted(SIGMA_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_sigma_outside_the_domain(entry, sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no OverflowError, which is not a ValueRangeError
+        with pytest.raises(ValueRangeError):
+            SIGMA_ENTRY_POINTS[entry](sigma)
+
+
+@pytest.mark.parametrize("entry", sorted(SIGMA_ENTRY_POINTS))
+def test_only_the_gaussian_entry_points_take_sigma_zero(entry):
+    if entry in TAKE_ZERO:
+        outputs = [SIGMA_ENTRY_POINTS[entry](zero) for zero in (0, 0.0, -0.0, np.float64(0))]
+        arrays = [out.weight if entry == "closed_form_linear" else out for out in outputs]
+        assert all(a.tobytes() == arrays[0].tobytes() for a in arrays)
+    else:
+        with pytest.raises(ValueRangeError):
+            SIGMA_ENTRY_POINTS[entry](0.0)
+
+
+def test_gaussian_at_sigma_zero_is_the_projection_onto_the_basis():
+    den = GaussianDenoiser(_STATS)
+    coef = (_STATS.eigvals > 0).astype(np.float64)
+    assert den.shrinkage(0.0).tobytes() == coef.tobytes()
+    proj = (_DATA.values - _STATS.mean) @ _STATS.basis
+    expected = _STATS.mean + (proj * coef) @ _STATS.basis.T
+    assert den.evaluate_batch(_DATA.values, 0.0).tobytes() == expected.tobytes()
+    weight = (_STATS.basis * coef) @ _STATS.basis.T
+    assert closed_form_linear(_STATS, 0.0).weight.tobytes() == weight.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [1e-200, np.nextafter(2.0**-511, 0)])
+def test_score_refuses_a_sigma_whose_square_is_not_a_normal_float(two_point_stats, sigma):
+    den = GaussianDenoiser(two_point_stats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueRangeError, match="finite normal float"):
+            denoiser_to_score(den, np.ones(2), sigma)
+        assert np.all(np.isfinite(score_batch(den, np.ones((1, 2)), 2.0**-511)))
+
+
+def test_multi_delta_refuses_overflowing_distances_without_warnings(two_point_data):
+    # |x| = 1e5 at sigma = 1e-150: every logit is -inf, so no weight is left
+    den = MultiDeltaDenoiser(DataMatrix(np.zeros((3, 4))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueRangeError, match="logits overflow"):
+            den.evaluate_batch(np.full((1, 4), 1e5), 1e-150)
+        with pytest.raises(ValueRangeError, match="logits overflow"):
+            MultiDeltaDenoiser(two_point_data).evaluate_batch(np.full((2, 2), 1e160), 1.0)
+
+
+def test_multi_delta_keeps_its_finite_rows_where_far_logits_overflow():
+    # at sigma = 2e-154 the far row's logit -400 / (2 sigma^2) overflows to -inf, a zero weight
+    Y = DataMatrix(np.array([[10.0, 0.0], [-10.0, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = MultiDeltaDenoiser(Y).evaluate_batch(Y.values, 2e-154)
+    assert np.array_equal(out, Y.values)

@@ -23,7 +23,8 @@ from denoiselab import (
     train_linear_dsm,
     weight_nmse,
 )
-from denoiselab.distillation import MAX_DENSE_DIM, ROW_BUDGET, augmented_moments
+from denoiselab.denoisers import MAX_DENSE_DIM, ROW_BUDGET
+from denoiselab.distillation import augmented_moments
 from denoiselab.errors import DimensionMismatchError, DivergenceError, FormatError, ValueRangeError
 from denoiselab.synth import gaussian_dataset
 

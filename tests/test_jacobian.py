@@ -23,7 +23,7 @@ from denoiselab import (
     read_raw_f64,
     singular_vector_correlation,
 )
-from denoiselab.distillation import MAX_DENSE_DIM, ROW_BUDGET
+from denoiselab.denoisers import MAX_DENSE_DIM, ROW_BUDGET
 from denoiselab.errors import ValueRangeError
 from denoiselab.jacobian import save_jacobian_report
 

@@ -1,5 +1,6 @@
 import io
 import struct
+import subprocess
 import sys
 import time
 
@@ -45,6 +46,32 @@ def test_plugin_shutdown_exits_zero():
     plugin = ExternalDenoiser(ECHO, dim=3)
     plugin.close()
     assert plugin._proc.returncode == 0
+
+
+@pytest.mark.parametrize("command, error", [
+    (ECHO, None),
+    ([sys.executable, "-m", "denoiselab.plugin_cli", "echo", "--dim", "5"],
+     DimensionMismatchError),
+    (_child("import sys\nsys.stdout.buffer.write(b'XXXX' + sys.stdin.buffer.read(8)[4:])\n"),
+     PluginProtocolError),
+], ids=["closed-by-with", "handshake-dim-mismatch", "handshake-bad-magic"])
+def test_plugin_pipes_are_closed_on_every_path(monkeypatch, command, error):
+    started, real_popen = [], subprocess.Popen
+
+    def popen(*args, **kwargs):  # keeps the child, which a failed __init__ does not return
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    if error is None:
+        with ExternalDenoiser(command, dim=3):
+            pass
+    else:
+        with pytest.raises(error):
+            ExternalDenoiser(command, dim=3)
+    (proc,) = started
+    assert proc.returncode is not None
+    assert proc.stdin.closed and proc.stdout.closed
 
 
 def test_handshake_dimension_mismatch():
@@ -112,8 +139,9 @@ def test_write_to_a_child_that_stops_reading_times_out():
     with pytest.raises(PluginTimeoutError):
         plugin.evaluate_batch(batch, 1.0)
     assert time.monotonic() - start < plugin.timeout + 2.0
-    # the stream is desynchronised, so the child is killed at once
+    # the stream is desynchronised, so the child is killed at once, and its pipes closed
     assert plugin._proc.poll() is not None
+    assert plugin._proc.stdin.closed and plugin._proc.stdout.closed
 
 
 def test_wrong_row_count_reported_as_dimension_mismatch():
