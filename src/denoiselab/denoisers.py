@@ -163,7 +163,8 @@ class PerLevelDenoiser(Denoiser):
     """Dispatch table mapping each noise level to its own denoiser.
 
     Mirrors per-level training: one model per sigma. Each call uses the entry
-    whose level is nearest to its sigma (the smaller level on a tie).
+    whose level is nearest to its sigma (the smaller level on a tie); a sigma
+    outside ``check_sigma(sigma, zero=True)`` raises ``ValueRangeError``.
     """
 
     def __init__(self, levels: dict[float, Denoiser]):
@@ -177,6 +178,7 @@ class PerLevelDenoiser(Denoiser):
         self.dim = dims.pop()
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
+        check_sigma(sigma, zero=True)
         nearest = float(self._sigmas[np.argmin(np.abs(self._sigmas - sigma))])
         return self._table[nearest].evaluate_batch(X, sigma)
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .denoisers import Denoiser
+from .denoisers import Denoiser, check_sigma
 from .errors import (
     DimensionMismatchError,
     PluginExitError,
@@ -41,6 +41,11 @@ TAG_REQUEST = 0x01
 TAG_RESPONSE = 0x02
 TAG_SHUTDOWN = 0xFF
 
+#: BLAS thread variables a child gets as "1" when the caller sets none of them:
+#: in a lock-step protocol the child gains nothing from a BLAS pool, whose idle
+#: workers spin on the core the waiting parent then needs
+CHILD_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class ExternalDenoiser(Denoiser):
     """A ``Denoiser`` evaluated by a child process over the plugin protocol.
@@ -50,7 +55,9 @@ class ExternalDenoiser(Denoiser):
     during the handshake. ``timeout`` (seconds) bounds every wait to read or
     write; a write that times out kills the child, since the stream is then
     desynchronised. Each ``evaluate_batch`` call is one round trip; a reply
-    holding a NaN or an infinity raises ``ValueRangeError``.
+    holding a NaN or an infinity raises ``ValueRangeError``, and so does a
+    sigma outside ``check_sigma(sigma, zero=True)``. The child runs
+    single-threaded BLAS unless the caller sets one of ``CHILD_THREAD_VARS``.
     """
 
     def __init__(self, command: list[str], dim: int, timeout: float = 30.0):
@@ -58,8 +65,11 @@ class ExternalDenoiser(Denoiser):
             raise ValueRangeError(f"plugin dimension must be at least 1, got {dim}")
         self.dim = dim
         self.timeout = timeout
+        env = dict(os.environ)
+        if not any(name in env for name in CHILD_THREAD_VARS):
+            env.update(dict.fromkeys(CHILD_THREAD_VARS, "1"))
         self._proc = subprocess.Popen(
-            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
         os.set_blocking(self._proc.stdin.fileno(), False)
         try:
             self._write(PLUGIN_MAGIC + struct.pack("<I", dim))
@@ -120,8 +130,9 @@ class ExternalDenoiser(Denoiser):
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"batch shape {X.shape} does not match plugin dimension {self.dim}")
+        sigma = check_sigma(sigma, zero=True)
         k = X.shape[0]
-        self._write(struct.pack("<BId", TAG_REQUEST, k, float(sigma)) + X.tobytes())
+        self._write(struct.pack("<BId", TAG_REQUEST, k, sigma) + X.tobytes())
         header = self._read(5, more=True)
         if header[0] != TAG_RESPONSE:
             raise PluginProtocolError(f"expected response tag 0x02, got {header[0]:#x}")

@@ -1,5 +1,6 @@
 import ast
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,16 @@ class FnDenoiser(Denoiser):
     def evaluate_batch(self, X, sigma):
         X = np.asarray(X, dtype=np.float64)
         return np.stack([np.asarray(self._fn(row, sigma), dtype=np.float64) for row in X])
+
+
+def plugin_argv(kind, *args):
+    """The argv of a built-in ``plugin_cli`` child: ``kind`` and its arguments."""
+    return [sys.executable, "-m", "denoiselab.plugin_cli", kind, *map(str, args)]
+
+
+def plugin_spec(kind, *args):
+    """``plugin_argv`` as a shell-quoted CLI ``external:`` denoiser spec."""
+    return "external:" + shlex.join(plugin_argv(kind, *args))
 
 
 #: a 3-d plugin served by ``serve_plugin``: echoes its rows, and replies NaN below sigma = 1

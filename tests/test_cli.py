@@ -17,7 +17,7 @@ from denoiselab.cli import main
 from denoiselab.verify import SUITES
 from denoiselab.synth import cluster_dataset
 
-from conftest import NAN_BELOW_ONE, write_csv
+from conftest import NAN_BELOW_ONE, plugin_spec, write_csv
 
 
 @pytest.fixture
@@ -524,7 +524,7 @@ def test_degenerate_checkpoint_exits_3(tmp_path, hole, capsys):
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
 def test_external_plugin_nonpositive_dim_exits_3_without_traceback(tmp_path, dim):
-    plugin = f"external:{shlex.quote(sys.executable)} -m denoiselab.plugin_cli echo --dim {dim}"
+    plugin = plugin_spec("echo", "--dim", dim)
     out = tmp_path / "o"
     proc = _run_module(["sample", "--denoiser", plugin, "--dim", dim, "--steps", "3",
                         "--out", str(out)], tmp_path)
@@ -535,7 +535,7 @@ def test_external_plugin_nonpositive_dim_exits_3_without_traceback(tmp_path, dim
 
 
 def test_external_plugin_dimension_mismatch_exits_3_without_traceback(tmp_path):
-    plugin = f"external:{shlex.quote(sys.executable)} -m denoiselab.plugin_cli echo --dim 3"
+    plugin = plugin_spec("echo", "--dim", 3)
     out = tmp_path / "o"
     proc = _run_module(["sample", "--denoiser", plugin, "--dim", "4", "--steps", "3",
                         "--out", str(out)], tmp_path)
@@ -603,7 +603,7 @@ def test_plugin_child_is_shut_down_when_writing_the_manifest_fails(tmp_path, mon
 
     monkeypatch.setattr(cli, "ExternalDenoiser", Recorded)
     monkeypatch.setattr(cli, "write_json", write_json)
-    plugin = f"external:{shlex.quote(sys.executable)} -m denoiselab.plugin_cli echo --dim 3"
+    plugin = plugin_spec("echo", "--dim", 3)
     out = tmp_path / "o"
     code = main(["sample", "--denoiser", plugin, "--dim", "3", "--steps", "3", "--out", str(out)])
     assert code == 3

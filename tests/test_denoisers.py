@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from denoiselab import (
     DataMatrix,
     Denoiser,
     DistillConfig,
+    ExternalDenoiser,
     GaussianDenoiser,
     GaussianStats,
     MultiDeltaDenoiser,
@@ -33,7 +35,7 @@ from denoiselab import (
 )
 from denoiselab.errors import DimensionMismatchError, ValueRangeError
 
-from conftest import FnDenoiser
+from conftest import FnDenoiser, plugin_argv
 
 
 def test_multi_delta_single_point():
@@ -224,6 +226,23 @@ def test_denoiser_without_evaluate_batch_raises_not_implemented():
 _DATA = DataMatrix(np.random.default_rng(5).uniform(-1, 1, size=(6, 3)))
 _STATS = empirical_stats(_DATA)
 _CFG = DistillConfig(steps=3, batch=2, lr=0.01, seed=0)
+#: a zero map below an identity: both ignore sigma, so only the table's own check refuses one
+_LEVELS = {0.1: AffineDenoiser(np.zeros((3, 3)), np.zeros(3)),
+           10.0: AffineDenoiser(np.eye(3), np.zeros(3))}
+
+
+@functools.cache
+def _echo_child():
+    """One echo plugin child for the module, started at its first use."""
+    return ExternalDenoiser(plugin_argv("echo", "--dim", 3), dim=3)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_echo_child():
+    yield
+    if _echo_child.cache_info().currsize:
+        _echo_child().close()
+
 
 #: every library entry point that takes a noise level, called at sigma s
 SIGMA_ENTRY_POINTS = {
@@ -244,10 +263,14 @@ SIGMA_ENTRY_POINTS = {
     "toy-skip": lambda s: init_toy(0, 3, 4, "skip").evaluate_batch(_DATA.values, s),
     "train_toy": lambda s: train_toy(init_toy(0, 3, 4), _DATA, s, 2, 2, 1e-3, 0),
     "edm_schedule": lambda s: edm_schedule(0.002, s, 7.0, 10),
+    "per-level": lambda s: PerLevelDenoiser(_LEVELS).evaluate_batch(_DATA.values, s),
+    "external": lambda s: _echo_child().evaluate_batch(_DATA.values, s),
 }
 
-#: the entry points that take sigma = 0, where the Gaussian gain is its continuous limit
-TAKE_ZERO = ("shrinkage", "gaussian", "closed_form_linear", "jacobian_fd")
+#: the entry points that take sigma = 0: the Gaussian ones, where the gain is its continuous
+#: limit, and the two that pass sigma on to a denoiser that may take it (affine, a plugin)
+TAKE_ZERO = ("shrinkage", "gaussian", "closed_form_linear", "jacobian_fd", "per-level",
+             "external")
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -1.0, 1e155, 2.0**512])

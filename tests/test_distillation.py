@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from denoiselab.distillation import augmented_moments
 from denoiselab.errors import DimensionMismatchError, DivergenceError, FormatError, ValueRangeError
 from denoiselab.synth import gaussian_dataset
 
-from conftest import FnDenoiser, textbook_distill_linear, textbook_linear_dsm
+from conftest import FnDenoiser, plugin_argv, textbook_distill_linear, textbook_linear_dsm
 
 
 def test_closed_form_limits(two_point_stats, rng):
@@ -167,8 +166,7 @@ def distill_teachers():
     d = 5
     X = gaussian_dataset(12, 40, d, mean=np.full(d, 0.1), eigvals=np.linspace(1.2, 0.3, d))
     r = np.random.default_rng(12)
-    echo = ExternalDenoiser([sys.executable, "-m", "denoiselab.plugin_cli", "echo",
-                             "--dim", str(d)], dim=d)
+    echo = ExternalDenoiser(plugin_argv("echo", "--dim", d), dim=d)
     try:
         yield X, {
             "multi-delta": MultiDeltaDenoiser(X),

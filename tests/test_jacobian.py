@@ -1,5 +1,4 @@
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from denoiselab.denoisers import MAX_DENSE_DIM, ROW_BUDGET
 from denoiselab.errors import ValueRangeError
 from denoiselab.jacobian import save_jacobian_report
 
-from conftest import FnDenoiser, fresh_interpreter, one_batch_jacobian, write_csv
+from conftest import FnDenoiser, fresh_interpreter, one_batch_jacobian, plugin_argv, write_csv
 
 
 def _distinct_stats(rng, d=8):
@@ -209,7 +208,7 @@ def test_jacobian_is_bitwise_the_one_batch_form_up_to_d_128(rng, d):
 def test_plugin_jacobian_is_one_request_and_bitwise_the_one_batch_form(tmp_path, rng):
     d = 128
     data = write_csv(tmp_path / "d.csv", rng.uniform(-1, 1, (32, d)))
-    command = [sys.executable, "-m", "denoiselab.plugin_cli", "multi-delta", "--data", data]
+    command = plugin_argv("multi-delta", "--data", data)
     x = rng.uniform(-1, 1, d)
     with ExternalDenoiser(command, dim=d) as plugin:
         requests = []

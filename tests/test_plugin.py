@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 import subprocess
 import sys
@@ -11,8 +12,10 @@ from denoiselab import (
     Denoiser,
     ExternalDenoiser,
     GaussianDenoiser,
+    MultiDeltaDenoiser,
     empirical_stats,
     external_denoise,
+    jacobian_fd,
     load_dataset,
     serve_plugin,
 )
@@ -24,13 +27,60 @@ from denoiselab.errors import (
     ValueRangeError,
 )
 
-from conftest import NAN_BELOW_ONE, write_csv
+from conftest import NAN_BELOW_ONE, plugin_argv, write_csv
 
-ECHO = [sys.executable, "-m", "denoiselab.plugin_cli", "echo", "--dim", "3"]
+ECHO = plugin_argv("echo", "--dim", 3)
 
 
 def _child(script: str) -> list[str]:
     return [sys.executable, "-c", script]
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: an echo plugin whose dimension spells what it saw of THREAD_VARS, one digit each
+#: in that order, 0 where unset: the handshake fails unless the parent expects it
+THREAD_VARS_AS_DIM = _child(
+    "import os\n"
+    "from denoiselab.plugin import serve_plugin\n"
+    f"dim = int(''.join(os.environ.get(name, '0') for name in {THREAD_VARS!r}))\n"
+    "serve_plugin(lambda X, s: X, dim)\n")
+
+
+@pytest.mark.parametrize("caller, seen", [
+    ({}, 111),
+    ({"OMP_NUM_THREADS": "3"}, 30),
+], ids=["none-set-so-all-one", "one-set-so-passed-through"])
+def test_child_blas_threads_default_to_one_unless_the_caller_sets_a_count(monkeypatch, caller,
+                                                                          seen):
+    for name in THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in caller.items():
+        monkeypatch.setenv(name, value)
+    before = dict(os.environ)
+    with ExternalDenoiser(THREAD_VARS_AS_DIM, dim=seen) as plugin:
+        assert np.array_equal(plugin.evaluate_batch(np.ones((1, seen)), 1.0), np.ones((1, seen)))
+    assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("kind, build", [
+    ("gaussian", lambda X: GaussianDenoiser(empirical_stats(X))),
+    ("multi-delta", MultiDeltaDenoiser),
+], ids=["gaussian", "multi-delta"])
+def test_single_threaded_child_is_bitwise_the_in_process_denoiser(monkeypatch, tmp_path, rng,
+                                                                  kind, build):
+    for name in THREAD_VARS:  # the child runs one BLAS thread, this process its own pool
+        monkeypatch.delenv(name, raising=False)
+    d = 128
+    data = write_csv(tmp_path / "d.csv", rng.uniform(-1, 1, (64, d)))
+    reference = build(load_dataset(data, "csv"))
+    x = rng.uniform(-1, 1, d)
+    batch = rng.uniform(-1, 1, (200, d))
+    with ExternalDenoiser(plugin_argv(kind, "--data", data), dim=d) as plugin:
+        # one 256-row request, then one 200-row request
+        assert jacobian_fd(plugin, x, 1.0).tobytes() == jacobian_fd(reference, x, 1.0).tobytes()
+        assert (plugin.evaluate_batch(batch, 0.5).tobytes()
+                == reference.evaluate_batch(batch, 0.5).tobytes())
 
 
 def test_echo_plugin_loopback(rng):
@@ -50,8 +100,7 @@ def test_plugin_shutdown_exits_zero():
 
 @pytest.mark.parametrize("command, error", [
     (ECHO, None),
-    ([sys.executable, "-m", "denoiselab.plugin_cli", "echo", "--dim", "5"],
-     DimensionMismatchError),
+    (plugin_argv("echo", "--dim", 5), DimensionMismatchError),
     (_child("import sys\nsys.stdout.buffer.write(b'XXXX' + sys.stdin.buffer.read(8)[4:])\n"),
      PluginProtocolError),
 ], ids=["closed-by-with", "handshake-dim-mismatch", "handshake-bad-magic"])
@@ -75,7 +124,7 @@ def test_plugin_pipes_are_closed_on_every_path(monkeypatch, command, error):
 
 
 def test_handshake_dimension_mismatch():
-    cmd = [sys.executable, "-m", "denoiselab.plugin_cli", "echo", "--dim", "5"]
+    cmd = plugin_argv("echo", "--dim", 5)
     with pytest.raises(DimensionMismatchError):
         ExternalDenoiser(cmd, dim=3)
 
@@ -85,8 +134,7 @@ def test_gaussian_reference_plugin(tmp_path, rng):
     data_path = write_csv(tmp_path / "d.csv", rows)
     X = load_dataset(data_path, "csv")
     reference = GaussianDenoiser(empirical_stats(X))
-    cmd = [sys.executable, "-m", "denoiselab.plugin_cli", "gaussian",
-           "--data", str(data_path)]
+    cmd = plugin_argv("gaussian", "--data", data_path)
     with ExternalDenoiser(cmd, dim=4) as plugin:
         queries = rng.standard_normal((6, 4))
         for sigma in (0.3, 1.0, 9.0):
