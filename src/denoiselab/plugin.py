@@ -41,10 +41,11 @@ TAG_REQUEST = 0x01
 TAG_RESPONSE = 0x02
 TAG_SHUTDOWN = 0xFF
 
-#: BLAS thread variables a child gets as "1" when the caller sets none of them:
-#: in a lock-step protocol the child gains nothing from a BLAS pool, whose idle
-#: workers spin on the core the waiting parent then needs
-CHILD_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: the thread counts OpenBLAS reads, first to last. A child gets OPENBLAS_NUM_THREADS=1
+#: when the caller sets none of them: after each small request its idle workers would
+#: spin on the core the parent then needs. A plugin doing large products per request
+#: runs faster with a pool; setting any of these gives the child the caller's count.
+CHILD_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class ExternalDenoiser(Denoiser):
@@ -56,8 +57,8 @@ class ExternalDenoiser(Denoiser):
     write; a write that times out kills the child, since the stream is then
     desynchronised. Each ``evaluate_batch`` call is one round trip; a reply
     holding a NaN or an infinity raises ``ValueRangeError``, and so does a
-    sigma outside ``check_sigma(sigma, zero=True)``. The child runs
-    single-threaded BLAS unless the caller sets one of ``CHILD_THREAD_VARS``.
+    sigma outside ``check_sigma(sigma, zero=True)``. The child runs one OpenBLAS
+    thread unless the caller sets one of ``CHILD_THREAD_VARS``, which it then inherits.
     """
 
     def __init__(self, command: list[str], dim: int, timeout: float = 30.0):
@@ -67,7 +68,7 @@ class ExternalDenoiser(Denoiser):
         self.timeout = timeout
         env = dict(os.environ)
         if not any(name in env for name in CHILD_THREAD_VARS):
-            env.update(dict.fromkeys(CHILD_THREAD_VARS, "1"))
+            env["OPENBLAS_NUM_THREADS"] = "1"
         self._proc = subprocess.Popen(
             command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
         os.set_blocking(self._proc.stdin.fileno(), False)

@@ -26,6 +26,7 @@ from denoiselab.errors import (
     PluginTimeoutError,
     ValueRangeError,
 )
+from denoiselab.plugin import CHILD_THREAD_VARS
 
 from conftest import NAN_BELOW_ONE, plugin_argv, write_csv
 
@@ -36,24 +37,25 @@ def _child(script: str) -> list[str]:
     return [sys.executable, "-c", script]
 
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-#: an echo plugin whose dimension spells what it saw of THREAD_VARS, one digit each
-#: in that order, 0 where unset: the handshake fails unless the parent expects it
+#: an echo plugin whose dimension spells what it saw of CHILD_THREAD_VARS, one digit
+#: each in that order, 0 where unset: the handshake fails unless the parent expects it
 THREAD_VARS_AS_DIM = _child(
     "import os\n"
-    "from denoiselab.plugin import serve_plugin\n"
-    f"dim = int(''.join(os.environ.get(name, '0') for name in {THREAD_VARS!r}))\n"
+    "from denoiselab.plugin import CHILD_THREAD_VARS, serve_plugin\n"
+    "dim = int(''.join(os.environ.get(name, '0') for name in CHILD_THREAD_VARS))\n"
     "serve_plugin(lambda X, s: X, dim)\n")
 
 
 @pytest.mark.parametrize("caller, seen", [
-    ({}, 111),
-    ({"OMP_NUM_THREADS": "3"}, 30),
-], ids=["none-set-so-all-one", "one-set-so-passed-through"])
+    ({}, 100),
+    ({"OMP_NUM_THREADS": "3"}, 3),
+    ({"GOTO_NUM_THREADS": "4"}, 40),
+    ({"MKL_NUM_THREADS": "5"}, 100),
+], ids=["none-set-so-openblas-one", "omp-set-so-passed-through", "goto-set-so-passed-through",
+        "mkl-is-not-read-by-openblas"])
 def test_child_blas_threads_default_to_one_unless_the_caller_sets_a_count(monkeypatch, caller,
                                                                           seen):
-    for name in THREAD_VARS:
+    for name in CHILD_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
     for name, value in caller.items():
         monkeypatch.setenv(name, value)
@@ -69,7 +71,7 @@ def test_child_blas_threads_default_to_one_unless_the_caller_sets_a_count(monkey
 ], ids=["gaussian", "multi-delta"])
 def test_single_threaded_child_is_bitwise_the_in_process_denoiser(monkeypatch, tmp_path, rng,
                                                                   kind, build):
-    for name in THREAD_VARS:  # the child runs one BLAS thread, this process its own pool
+    for name in CHILD_THREAD_VARS:  # the child runs one BLAS thread, this process its own pool
         monkeypatch.delenv(name, raising=False)
     d = 128
     data = write_csv(tmp_path / "d.csv", rng.uniform(-1, 1, (64, d)))
