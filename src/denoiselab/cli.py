@@ -221,7 +221,7 @@ def cmd_sample(resolved: dict) -> int:
         den = _build_denoiser(resolved["denoiser"], data, run, resolved["dim"])
         if resolved["oracle"] and resolved["denoiser"] != "gaussian":
             raise UsageError("--oracle only applies to the gaussian denoiser")
-        stats = empirical_stats(data) if resolved["oracle"] else None
+        stats = den.stats if resolved["oracle"] else None
         finals = np.empty((resolved["count"], den.dim))
         oracle_gap = 0.0
         # one start per ode_sample call: each trajectory is written and dropped
@@ -403,6 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(exc: BaseException) -> str:
+    """``str(exc)``, plus the ``step`` and ``sigma`` set on it that it does not name.
+
+    ``errors.annotate`` names them in a message of at most one argument only, so
+    an OSError such as a broken plugin pipe would otherwise lose them.
+    """
+    text = str(exc)
+    missing = [f"{name}={value}" for name in ("step", "sigma")
+               if (value := getattr(exc, name, None)) is not None
+               and f"{name}={value}" not in text and f"{name} {value}" not in text]
+    return f"{text} ({', '.join(missing)})" if missing else text
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -417,10 +430,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PluginError as exc:
-        print(f"plugin error: {exc}", file=sys.stderr)
+        print(f"plugin error: {_message(exc)}", file=sys.stderr)
         return EXIT_PLUGIN
     except (ToolkitError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -64,7 +64,7 @@ class Denoiser:
             raise DimensionMismatchError(
                 f"input dimension {X.shape[-1]} != denoiser dimension {self.dim}"
             )
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise ValueRangeError("non-finite input to denoiser")
         return X
 
@@ -118,10 +118,12 @@ class GaussianDenoiser(Denoiser):
 
     def shrinkage(self, sigma: float) -> np.ndarray:
         """Per-component gain eigval / (eigval + sigma^2), for 0 <= sigma < 2**512."""
-        sigma = check_sigma(sigma, zero=True)
+        var = check_sigma(sigma, zero=True) ** 2
         lam = self.stats.eigvals
-        denom = lam + sigma**2
-        return np.divide(lam, denom, out=np.zeros_like(lam), where=denom > 0)
+        if var > 0:  # eigenvalues are nonnegative, so every denominator is positive
+            return lam / (lam + var)
+        # sigma = 0, or a sigma whose square underflows: 0 / 0 is taken as 0
+        return np.divide(lam, lam, out=np.zeros_like(lam), where=lam > 0)
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
         X = self._check_input(X)

@@ -72,17 +72,18 @@ class ExternalDenoiser(Denoiser):
         self._proc = subprocess.Popen(
             command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
         os.set_blocking(self._proc.stdin.fileno(), False)
+        hello = bytearray(9)  # the 8-byte reply and the check byte of ``_read``
         try:
             self._write(PLUGIN_MAGIC + struct.pack("<I", dim))
-            reply = self._read(8)
+            self._read(hello)
         except Exception:
             self._kill()
             raise
-        if reply[:4] != PLUGIN_MAGIC:
+        if hello[:4] != PLUGIN_MAGIC:
             self._kill()
             raise PluginProtocolError(
-                f"handshake returned magic {reply[:4]!r}, expected {PLUGIN_MAGIC!r}")
-        (child_dim,) = struct.unpack("<I", reply[4:])
+                f"handshake returned magic {bytes(hello[:4])!r}, expected {PLUGIN_MAGIC!r}")
+        (child_dim,) = struct.unpack_from("<I", hello, 4)
         if child_dim != dim:
             self._kill()
             raise DimensionMismatchError(
@@ -103,28 +104,39 @@ class ExternalDenoiser(Denoiser):
                 raise PluginExitError(
                     f"plugin exited (code {self._proc.poll()}) while writing") from exc
 
-    def _read(self, n: int, more: bool = False) -> bytes:
-        """The next n bytes of a frame; ``more`` says that the frame goes on after them.
+    def _read(self, frame, rows: int | None = None) -> memoryview:
+        """Read the child's next frame into the writable buffer ``frame``; return the frame.
 
-        A child sends nothing unasked, so the last read of a frame asks for one
-        byte more than it needs: a byte sent with the frame's end but past it
-        raises PluginProtocolError, at no extra system call.
+        A child sends nothing unasked, so ``frame`` holds one byte more than the
+        frame: a byte that lands there was sent past the frame's end and raises
+        PluginProtocolError, at no extra system call. With ``rows`` the frame is
+        the reply to a request of that many rows, and its header is checked as
+        soon as its 5 bytes are in, not after the rest arrives or times out.
         """
         fd = self._proc.stdout.fileno()
-        chunks = b""
-        while len(chunks) < n:
+        view = memoryview(frame)
+        n, got = len(view) - 1, 0
+        while got < n:
             ready, _, _ = select.select([fd], [], [], self.timeout)
             if not ready:
                 raise PluginTimeoutError(
                     f"no reply from plugin within {self.timeout}s")
-            got = os.read(fd, n - len(chunks) + (not more))
-            if not got:
+            size = os.readv(fd, [view[got:]])
+            if not size:
                 raise PluginExitError(
                     f"plugin exited (code {self._proc.poll()}) mid-reply")
-            chunks += got
-        if len(chunks) > n:
+            if rows is not None and got < 5 <= got + size:
+                if view[0] != TAG_RESPONSE:
+                    raise PluginProtocolError(
+                        f"expected response tag 0x02, got {view[0]:#x}")
+                (reply_k,) = struct.unpack_from("<I", view, 1)
+                if reply_k != rows:
+                    raise DimensionMismatchError(
+                        f"plugin replied with {reply_k} rows to a {rows}-row request")
+            got += size
+        if got > n:
             raise PluginProtocolError(f"plugin sent bytes past its {n}-byte frame")
-        return chunks
+        return view[:n]
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype="<f8")
@@ -134,16 +146,12 @@ class ExternalDenoiser(Denoiser):
         sigma = check_sigma(sigma, zero=True)
         k = X.shape[0]
         self._write(struct.pack("<BId", TAG_REQUEST, k, sigma) + X.tobytes())
-        header = self._read(5, more=True)
-        if header[0] != TAG_RESPONSE:
-            raise PluginProtocolError(f"expected response tag 0x02, got {header[0]:#x}")
-        (reply_k,) = struct.unpack("<I", header[1:])
-        if reply_k != k:
-            raise DimensionMismatchError(
-                f"plugin replied with {reply_k} rows to a {k}-row request")
-        # a bytearray gives a writable array without a numpy copy: each numpy
-        # call costs several microseconds between two blocking reads
-        out = np.frombuffer(bytearray(self._read(8 * k * self.dim)), "<f8").reshape(k, self.dim)
+        # the reply lands in one float64 buffer, its 5-byte header in the 8 bytes
+        # before the rows and the check byte in the 8 after, so the returned
+        # rows are aligned and writable with no copy
+        buf = np.empty(k * self.dim + 2, "<f8")
+        out = buf[1:-1].reshape(k, self.dim)
+        self._read(buf.view(np.uint8)[3:9 + 8 * k * self.dim], rows=k)
         if not np.isfinite(out).all():
             raise ValueRangeError("plugin replied with a non-finite value")
         return out
@@ -191,46 +199,48 @@ def serve_plugin(handler: Callable[[np.ndarray, float], np.ndarray], dim: int,
     a handler result of another shape is one, and gets no reply.
     """
     stdin = stdin if stdin is not None else sys.stdin.buffer
-    stdout = stdout if stdout is not None else sys.stdout.buffer
+    # a buffered writer of its own, also under ``python -u``: a reply that fits
+    # its buffer leaves in one write, so the parent wakes once per reply
+    stdout = stdout if stdout is not None else open(sys.stdout.fileno(), "wb", closefd=False)
 
-    def read_exact(n: int) -> bytes | None:
-        data = b""
-        while len(data) < n:
-            got = stdin.read(n - len(data))
-            if not got:
-                return None
-            data += got
-        return data
+    def read_into(buf) -> bool:
+        """Fill the flat byte buffer ``buf`` from stdin; False at end of input."""
+        view = memoryview(buf)
+        got = 0
+        while got < len(view):
+            size = stdin.readinto(view[got:])
+            if not size:
+                return False
+            got += size
+        return True
 
-    hello = read_exact(8)
-    if hello is None or hello[:4] != PLUGIN_MAGIC:
+    hello = bytearray(8)
+    if not read_into(hello) or hello[:4] != PLUGIN_MAGIC:
         return 2
-    (parent_dim,) = struct.unpack("<I", hello[4:])
+    (parent_dim,) = struct.unpack_from("<I", hello, 4)
     stdout.write(PLUGIN_MAGIC + struct.pack("<I", dim))
     stdout.flush()
     if parent_dim != dim:
         return 1
+    tag, header = bytearray(1), bytearray(12)
     while True:
-        tag = read_exact(1)
-        if tag is None:
+        if not read_into(tag):
             return 1
         if tag[0] == TAG_SHUTDOWN:
             return 0
         if tag[0] != TAG_REQUEST:
             return 2
-        header = read_exact(12)
-        if header is None:
+        if not read_into(header):
             return 1
         k, sigma = struct.unpack("<Id", header)
-        payload = read_exact(8 * k * dim)
-        if payload is None:
+        batch = np.empty((k, dim), "<f8")
+        if not read_into(batch.reshape(-1).view(np.uint8)):
             return 1
-        batch = np.frombuffer(payload, dtype="<f8").reshape(k, dim)
-        result = np.ascontiguousarray(handler(batch, sigma), dtype=np.float64)
+        result = np.ascontiguousarray(handler(batch, sigma), dtype="<f8")
         if result.shape != (k, dim):
             return 2
         stdout.write(struct.pack("<BI", TAG_RESPONSE, k))
-        stdout.write(result.astype("<f8").tobytes())
+        stdout.write(result)  # from the rows' own buffer, with no bytes object made
         stdout.flush()
 
 

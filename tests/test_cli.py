@@ -1,3 +1,4 @@
+import errno
 import functools
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 import denoiselab
 from denoiselab import cli, load_affine, read_raw_f64
 from denoiselab.cli import main
+from denoiselab.errors import PluginExitError
 from denoiselab.verify import SUITES
 from denoiselab.synth import cluster_dataset
 
@@ -273,6 +275,23 @@ def test_external_denoiser_failure_maps_to_plugin_exit_code(tmp_path, cluster_cs
                  "--denoiser", "external:python3 -c pass",
                  "--count", "1", "--out", str(tmp_path / "o")])
     assert code == 4
+
+
+@pytest.mark.parametrize("error, message", [
+    (OSError(errno.EPIPE, "Broken pipe"), "error: [Errno 32] Broken pipe (step=0, sigma=2.0)\n"),
+    (PluginExitError("gone"),
+     "plugin error: denoiser failed at step 0 (sigma=2.0): gone\n"),
+], ids=["two-argument-oserror", "one-argument-error-names-both"])
+def test_failure_message_names_the_step_and_sigma_once(tmp_path, cluster_csv, capsys,
+                                                       monkeypatch, error, message):
+    def fail(self, X, sigma):
+        raise error
+
+    monkeypatch.setattr(denoiselab.GaussianDenoiser, "evaluate_batch", fail)
+    code = main(["sample", "--data", cluster_csv, "--denoiser", "gaussian", "--steps", "3",
+                 "--sigma-max", "2", "--out", str(tmp_path / "o")])
+    assert code == (3 if isinstance(error, OSError) else 4)
+    assert capsys.readouterr().err == message
 
 
 def test_unknown_denoiser_spec_is_usage_error(tmp_path, cluster_csv):

@@ -332,3 +332,23 @@ def test_multi_delta_keeps_its_finite_rows_where_far_logits_overflow():
         warnings.simplefilter("error")
         out = MultiDeltaDenoiser(Y).evaluate_batch(Y.values, 2e-154)
     assert np.array_equal(out, Y.values)
+
+
+#: the Gaussian fit of three points in 4-d: rank 2, so its last eigenvalue is 0
+_RANK_2 = empirical_stats(DataMatrix(np.random.default_rng(7).uniform(-1, 1, size=(3, 4))))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-200, 2.0**-511, 1e-3, 1.0, 1e150])
+def test_gaussian_gain_is_bitwise_the_guarded_division(sigma):
+    # 1e-200 squares to 0, as sigma = 0 does: the gain of a zero eigenvalue is then 0, not 0 / 0
+    lam, basis, mean = _RANK_2.eigvals, _RANK_2.basis, _RANK_2.mean
+    assert lam[-1] == 0.0
+    denom = lam + sigma**2
+    gain = np.divide(lam, denom, out=np.zeros_like(lam), where=denom > 0)
+    X = np.random.default_rng(8).uniform(-1, 1, size=(5, 4))
+    expected = mean + (((X - mean) @ basis) * gain) @ basis.T
+    den = GaussianDenoiser(_RANK_2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert den.shrinkage(sigma).tobytes() == gain.tobytes()
+        assert den.evaluate_batch(X, sigma).tobytes() == expected.tobytes()

@@ -16,6 +16,8 @@ import numpy as np
 import denoiselab as dl
 from denoiselab import cli, denoisers, sampler, verify
 
+from conftest import plugin_argv
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -132,3 +134,21 @@ def test_traced_cli_sample_counts_one_nfe_per_start_and_step(tmp_path):
     assert totals["sampler.ode_sample.calls"] == 3
     assert totals["sampler.ode_sample.nfe"] == 15
     assert totals["denoisers.multi_delta.rows"] == 15
+
+
+def test_tracer_counts_every_byte_of_a_plugin_round_trip():
+    """``plugin.bytes_*`` hold the whole request frame and the whole reply frame."""
+    tracing = _load_tracing()
+    k, d = 3, 4
+    with dl.ExternalDenoiser(plugin_argv("echo", "--dim", d), dim=d) as plugin:
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            mark = tracer.mark()
+            plugin.evaluate_batch(np.ones((k, d)), 1.0)
+            totals = tracer.phase_totals(mark, tracer.mark())
+        finally:
+            tracer.uninstall()
+    assert totals["plugin.round_trips"] == 1
+    assert totals["plugin.bytes_sent"] == 13 + 8 * k * d  # tag, k, sigma and the rows
+    assert totals["plugin.bytes_received"] == 5 + 8 * k * d  # tag, k and the rows

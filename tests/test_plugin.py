@@ -1,9 +1,11 @@
 import io
 import os
+import select
 import struct
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from denoiselab.errors import (
     PluginTimeoutError,
     ValueRangeError,
 )
+from denoiselab import plugin as plugin_module
 from denoiselab.plugin import CHILD_THREAD_VARS
 
 from conftest import NAN_BELOW_ONE, plugin_argv, write_csv
@@ -210,6 +213,51 @@ def test_wrong_row_count_reported_as_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         plugin.evaluate_batch(np.zeros((3, 2)), 1.0)
     plugin._kill()
+
+
+def test_short_reply_raises_dimension_mismatch_at_once_not_at_the_timeout():
+    script = (
+        "import sys, struct, time\n"
+        "h = sys.stdin.buffer.read(8)\n"
+        "sys.stdout.buffer.write(h); sys.stdout.buffer.flush()\n"
+        "tag = sys.stdin.buffer.read(1)\n"
+        "k, sigma = struct.unpack('<Id', sys.stdin.buffer.read(12))\n"
+        "payload = sys.stdin.buffer.read(k * 2 * 8)\n"
+        "sys.stdout.buffer.write(struct.pack('<BI', 2, k - 1) + payload[16:])\n"
+        "sys.stdout.buffer.flush()\n"
+        "time.sleep(60)\n"
+    )
+    plugin = ExternalDenoiser(_child(script), dim=2, timeout=30.0)
+    start = time.monotonic()
+    with pytest.raises(DimensionMismatchError, match="2 rows to a 3-row request"):
+        plugin.evaluate_batch(np.zeros((3, 2)), 1.0)
+    assert time.monotonic() - start < 5.0
+    plugin._kill()
+
+
+def test_reply_larger_than_the_pipe_buffer_is_an_aligned_writable_array(rng):
+    batch = rng.standard_normal((256, 128))  # 256 KiB each way, four times the pipe buffer
+    with ExternalDenoiser(plugin_argv("echo", "--dim", 128), dim=128) as plugin:
+        out = plugin.evaluate_batch(batch, 1.0)
+    assert out.dtype == np.float64 and out.shape == batch.shape
+    assert out.flags.aligned and out.flags.writeable and out.flags.c_contiguous
+    assert out.tobytes() == batch.tobytes()
+
+
+def test_a_reply_that_arrives_whole_takes_one_wait_and_one_read(monkeypatch, rng):
+    with ExternalDenoiser(ECHO, dim=3) as plugin:
+        select_spy, os_spy = mock.Mock(wraps=select), mock.Mock(wraps=os)
+        monkeypatch.setattr(plugin_module, "select", select_spy)
+        monkeypatch.setattr(plugin_module, "os", os_spy)
+        for _ in range(20):  # the child writes each 29-byte reply in one system call
+            select_spy.reset_mock()
+            os_spy.reset_mock()
+            x = rng.standard_normal((1, 3))
+            assert np.array_equal(plugin.evaluate_batch(x, 1.0), x)
+            assert [name for name, _, _ in select_spy.method_calls] == ["select"]
+            assert len([name for name, _, _ in os_spy.method_calls
+                        if name.startswith("read")]) == 1
+        monkeypatch.undo()
 
 
 def test_non_finite_reply_raises_value_range_error():
