@@ -47,23 +47,24 @@ class Denoiser:
 
     ``evaluate_batch`` maps a k x dim array of noisy rows to k denoised rows
     and is the one method a subclass must implement; ``evaluate`` is its
-    one-row view. Subclasses set ``dim`` when they are built.
+    one-row view. Subclasses set ``dim`` when built. Each built-in ``evaluate_batch``
+    starts with ``_check_input``: a batch that is not (k, dim), k >= 0, raises
+    DimensionMismatchError, and one holding a NaN or an infinity ValueRangeError.
     """
 
     dim: int
 
     def evaluate(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=np.float64)[None, :], sigma)[0]
+        return self.evaluate_batch(np.asarray(x, dtype=np.float64)[None], sigma)[0]
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} does not implement evaluate_batch")
 
     def _check_input(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if X.shape[-1] != self.dim:
+        if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionMismatchError(
-                f"input dimension {X.shape[-1]} != denoiser dimension {self.dim}"
-            )
+                f"batch shape {X.shape} is not (k, {self.dim}) for this denoiser")
         if not np.isfinite(X).all():
             raise ValueRangeError("non-finite input to denoiser")
         return X
@@ -180,6 +181,7 @@ class PerLevelDenoiser(Denoiser):
         self.dim = dims.pop()
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
+        X = self._check_input(X)
         check_sigma(sigma, zero=True)
         nearest = float(self._sigmas[np.argmin(np.abs(self._sigmas - sigma))])
         return self._table[nearest].evaluate_batch(X, sigma)
@@ -202,7 +204,7 @@ def affine_denoise(D: AffineDenoiser, x: np.ndarray) -> np.ndarray:
 
 def denoiser_to_score(D: Denoiser, x: np.ndarray, sigma: float) -> np.ndarray:
     """Score of the sigma-mollified density at x: (D(x; sigma) - x) / sigma^2."""
-    return score_batch(D, np.asarray(x, dtype=np.float64)[None, :], sigma)[0]
+    return score_batch(D, np.asarray(x, dtype=np.float64)[None], sigma)[0]
 
 
 def score_batch(D: Denoiser, X: np.ndarray, sigma: float) -> np.ndarray:

@@ -54,11 +54,14 @@ class ExternalDenoiser(Denoiser):
     ``command`` is the child's argv list; ``dim`` is the expected data
     dimension, at least 1 (checked before the child starts) and confirmed
     during the handshake. ``timeout`` (seconds) bounds every wait to read or
-    write; a write that times out kills the child, since the stream is then
-    desynchronised. Each ``evaluate_batch`` call is one round trip; a reply
-    holding a NaN or an infinity raises ``ValueRangeError``, and so does a
-    sigma outside ``check_sigma(sigma, zero=True)``. The child runs one OpenBLAS
-    thread unless the caller sets one of ``CHILD_THREAD_VARS``, which it then inherits.
+    write. Each ``evaluate_batch`` call is one round trip; X that ``_check_input``
+    refuses, or a sigma outside ``check_sigma(sigma, zero=True)``, sends no byte.
+    A handshake or round trip that breaks before its frame is complete (a write
+    that fails or times out, a read timeout, EOF, a refused reply header, bytes
+    past the frame) ends the child; every later call raises ``PluginExitError``.
+    A whole reply holding a NaN or an infinity raises ``ValueRangeError`` and keeps
+    the child. The child runs one OpenBLAS thread unless the caller sets one of
+    ``CHILD_THREAD_VARS``, which it then inherits.
     """
 
     def __init__(self, command: list[str], dim: int, timeout: float = 30.0):
@@ -73,21 +76,19 @@ class ExternalDenoiser(Denoiser):
             command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
         os.set_blocking(self._proc.stdin.fileno(), False)
         hello = bytearray(9)  # the 8-byte reply and the check byte of ``_read``
-        try:
+        try:  # a handshake that breaks ends the child, as a round trip that breaks does
             self._write(PLUGIN_MAGIC + struct.pack("<I", dim))
             self._read(hello)
-        except Exception:
+            if hello[:4] != PLUGIN_MAGIC:
+                raise PluginProtocolError(
+                    f"handshake returned magic {bytes(hello[:4])!r}, expected {PLUGIN_MAGIC!r}")
+            (child_dim,) = struct.unpack_from("<I", hello, 4)
+            if child_dim != dim:
+                raise DimensionMismatchError(
+                    f"plugin serves dimension {child_dim}, expected {dim}")
+        except BaseException:
             self._kill()
             raise
-        if hello[:4] != PLUGIN_MAGIC:
-            self._kill()
-            raise PluginProtocolError(
-                f"handshake returned magic {bytes(hello[:4])!r}, expected {PLUGIN_MAGIC!r}")
-        (child_dim,) = struct.unpack_from("<I", hello, 4)
-        if child_dim != dim:
-            self._kill()
-            raise DimensionMismatchError(
-                f"plugin serves dimension {child_dim}, expected {dim}")
 
     def _write(self, data: bytes) -> None:
         fd = self._proc.stdin.fileno()
@@ -97,7 +98,6 @@ class ExternalDenoiser(Denoiser):
                 view = view[os.write(fd, view):]
             except BlockingIOError:
                 if not select.select([], [fd], [], self.timeout)[1]:
-                    self._kill()
                     raise PluginTimeoutError(
                         f"plugin read no request bytes within {self.timeout}s") from None
             except OSError as exc:
@@ -139,19 +139,22 @@ class ExternalDenoiser(Denoiser):
         return view[:n]
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
-        X = np.ascontiguousarray(X, dtype="<f8")
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"batch shape {X.shape} does not match plugin dimension {self.dim}")
+        X = self._check_input(X).astype("<f8", copy=False)
         sigma = check_sigma(sigma, zero=True)
         k = X.shape[0]
-        self._write(struct.pack("<BId", TAG_REQUEST, k, sigma) + X.tobytes())
-        # the reply lands in one float64 buffer, its 5-byte header in the 8 bytes
-        # before the rows and the check byte in the 8 after, so the returned
-        # rows are aligned and writable with no copy
-        buf = np.empty(k * self.dim + 2, "<f8")
-        out = buf[1:-1].reshape(k, self.dim)
-        self._read(buf.view(np.uint8)[3:9 + 8 * k * self.dim], rows=k)
+        if self._proc.returncode is not None:
+            raise PluginExitError(f"plugin exited (code {self._proc.returncode}) before this call")
+        try:  # whatever breaks a round trip, an interrupt too, leaves the stream out of step
+            self._write(struct.pack("<BId", TAG_REQUEST, k, sigma) + X.tobytes())
+            # the reply lands in one float64 buffer, its 5-byte header in the 8 bytes
+            # before the rows and the check byte in the 8 after, so the returned
+            # rows are aligned and writable with no copy
+            buf = np.empty(k * self.dim + 2, "<f8")
+            out = buf[1:-1].reshape(k, self.dim)
+            self._read(buf.view(np.uint8)[3:9 + 8 * k * self.dim], rows=k)
+        except BaseException:
+            self._kill()
+            raise
         if not np.isfinite(out).all():
             raise ValueRangeError("plugin replied with a non-finite value")
         return out
@@ -159,9 +162,11 @@ class ExternalDenoiser(Denoiser):
     def close(self) -> None:
         """Send shutdown, reap the child (killing it after ``timeout``) and close its pipes."""
         if self._proc.poll() is None:
-            with contextlib.suppress(PluginExitError, PluginTimeoutError):
+            try:
                 self._write(struct.pack("<B", TAG_SHUTDOWN))
                 self._proc.stdin.close()
+            except (PluginExitError, PluginTimeoutError):
+                self._kill()  # the tag is not out, so the child is not waited for
             with contextlib.suppress(subprocess.TimeoutExpired):  # killed below
                 self._proc.wait(timeout=self.timeout)
         self._kill()

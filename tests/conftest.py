@@ -1,4 +1,5 @@
 import ast
+import functools
 import os
 import shlex
 import subprocess
@@ -9,7 +10,17 @@ import numpy as np
 import pytest
 
 import denoiselab
-from denoiselab import DataMatrix, Denoiser, empirical_stats
+from denoiselab import (
+    AffineDenoiser,
+    DataMatrix,
+    Denoiser,
+    ExternalDenoiser,
+    GaussianDenoiser,
+    MultiDeltaDenoiser,
+    PerLevelDenoiser,
+    empirical_stats,
+    init_toy,
+)
 
 #: the source tree the tests import, which ``fresh_interpreter`` puts on its path
 SRC = Path(denoiselab.__file__).resolve().parents[1]
@@ -42,6 +53,41 @@ NAN_BELOW_ONE = [sys.executable, "-c",
                  "import numpy as np\n"
                  "from denoiselab.plugin import serve_plugin\n"
                  "serve_plugin(lambda X, s: X if s >= 1 else np.full_like(X, np.nan), 3)\n"]
+
+
+#: six points in 3-d, the data of the dim-3 denoisers below
+DATA3 = DataMatrix(np.random.default_rng(5).uniform(-1, 1, size=(6, 3)))
+STATS3 = empirical_stats(DATA3)
+
+
+@functools.cache
+def echo_child():
+    """One 3-d echo plugin child, started at its first use and closed after its module."""
+    return ExternalDenoiser(plugin_argv("echo", "--dim", 3), dim=3)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_echo_child():
+    yield
+    if echo_child.cache_info().currsize:
+        echo_child().close()
+        echo_child.cache_clear()
+
+
+#: name -> a factory of one dim-3 denoiser of each kind. The table of input entry points in
+#: test_denoisers.py takes every one and the table of sigma entry points every one that reads
+#: sigma, so a new denoiser joins both here
+DENOISERS = {
+    "multi-delta": lambda: MultiDeltaDenoiser(DATA3),
+    "gaussian": lambda: GaussianDenoiser(STATS3),
+    "affine": lambda: AffineDenoiser(np.eye(3), np.zeros(3)),
+    "toy-dae": lambda: init_toy(0, 3, 4),
+    "toy-skip": lambda: init_toy(0, 3, 4, "skip"),
+    # a zero map below an identity: both ignore sigma, so only the table's own check refuses one
+    "per-level": lambda: PerLevelDenoiser({0.1: AffineDenoiser(np.zeros((3, 3)), np.zeros(3)),
+                                           10.0: AffineDenoiser(np.eye(3), np.zeros(3))}),
+    "external": echo_child,
+}
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import functools
 import warnings
 
 import numpy as np
@@ -35,7 +34,7 @@ from denoiselab import (
 )
 from denoiselab.errors import DimensionMismatchError, ValueRangeError
 
-from conftest import FnDenoiser, plugin_argv
+from conftest import DATA3, DENOISERS, STATS3, FnDenoiser, echo_child
 
 
 def test_multi_delta_single_point():
@@ -222,49 +221,27 @@ def test_denoiser_without_evaluate_batch_raises_not_implemented():
         Bare().evaluate_batch(np.zeros((3, 2)), 1.0)
 
 
-
-_DATA = DataMatrix(np.random.default_rng(5).uniform(-1, 1, size=(6, 3)))
-_STATS = empirical_stats(_DATA)
 _CFG = DistillConfig(steps=3, batch=2, lr=0.01, seed=0)
-#: a zero map below an identity: both ignore sigma, so only the table's own check refuses one
-_LEVELS = {0.1: AffineDenoiser(np.zeros((3, 3)), np.zeros(3)),
-           10.0: AffineDenoiser(np.eye(3), np.zeros(3))}
-
-
-@functools.cache
-def _echo_child():
-    """One echo plugin child for the module, started at its first use."""
-    return ExternalDenoiser(plugin_argv("echo", "--dim", 3), dim=3)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _close_echo_child():
-    yield
-    if _echo_child.cache_info().currsize:
-        _echo_child().close()
-
+#: an affine map is fit at one level and ignores the sigma it is called at
+IGNORE_SIGMA = ("affine",)
 
 #: every library entry point that takes a noise level, called at sigma s
 SIGMA_ENTRY_POINTS = {
-    "shrinkage": lambda s: GaussianDenoiser(_STATS).shrinkage(s),
-    "gaussian": lambda s: GaussianDenoiser(_STATS).evaluate_batch(_DATA.values, s),
-    "closed_form_linear": lambda s: closed_form_linear(_STATS, s),
-    "multi-delta": lambda s: MultiDeltaDenoiser(_DATA).evaluate_batch(_DATA.values, s),
-    "score_batch": lambda s: score_batch(GaussianDenoiser(_STATS), _DATA.values, s),
-    "distill_linear": lambda s: distill_linear(GaussianDenoiser(_STATS), _DATA, s, _CFG),
-    "train_linear_dsm": lambda s: train_linear_dsm(_DATA, s, _CFG),
+    **{name: (lambda s, build=build: build().evaluate_batch(DATA3.values, s))
+       for name, build in DENOISERS.items() if name not in IGNORE_SIGMA},
+    "shrinkage": lambda s: GaussianDenoiser(STATS3).shrinkage(s),
+    "closed_form_linear": lambda s: closed_form_linear(STATS3, s),
+    "score_batch": lambda s: score_batch(GaussianDenoiser(STATS3), DATA3.values, s),
+    "distill_linear": lambda s: distill_linear(GaussianDenoiser(STATS3), DATA3, s, _CFG),
+    "train_linear_dsm": lambda s: train_linear_dsm(DATA3, s, _CFG),
     "orthogonality_residual": lambda s: orthogonality_residual(
-        GaussianDenoiser(_STATS), _DATA, s, 4, 0),
-    "linearity_score": lambda s: linearity_score(GaussianDenoiser(_STATS), _DATA, s, n_pairs=4),
-    "score_diff": lambda s: score_diff(GaussianDenoiser(_STATS), MultiDeltaDenoiser(_DATA),
-                                       _DATA, s, n=4),
-    "jacobian_fd": lambda s: jacobian_fd(GaussianDenoiser(_STATS), np.zeros(3), s),
-    "toy-dae": lambda s: init_toy(0, 3, 4).evaluate_batch(_DATA.values, s),
-    "toy-skip": lambda s: init_toy(0, 3, 4, "skip").evaluate_batch(_DATA.values, s),
-    "train_toy": lambda s: train_toy(init_toy(0, 3, 4), _DATA, s, 2, 2, 1e-3, 0),
+        GaussianDenoiser(STATS3), DATA3, s, 4, 0),
+    "linearity_score": lambda s: linearity_score(GaussianDenoiser(STATS3), DATA3, s, n_pairs=4),
+    "score_diff": lambda s: score_diff(GaussianDenoiser(STATS3), MultiDeltaDenoiser(DATA3),
+                                       DATA3, s, n=4),
+    "jacobian_fd": lambda s: jacobian_fd(GaussianDenoiser(STATS3), np.zeros(3), s),
+    "train_toy": lambda s: train_toy(init_toy(0, 3, 4), DATA3, s, 2, 2, 1e-3, 0),
     "edm_schedule": lambda s: edm_schedule(0.002, s, 7.0, 10),
-    "per-level": lambda s: PerLevelDenoiser(_LEVELS).evaluate_batch(_DATA.values, s),
-    "external": lambda s: _echo_child().evaluate_batch(_DATA.values, s),
 }
 
 #: the entry points that take sigma = 0: the Gaussian ones, where the gain is its continuous
@@ -293,15 +270,66 @@ def test_only_the_gaussian_entry_points_take_sigma_zero(entry):
             SIGMA_ENTRY_POINTS[entry](0.0)
 
 
+#: every library entry point that takes noisy rows, called on a batch X at sigma = 1; the
+#: one-row entry points get the batch's first item, so a 1-d batch hands them a scalar
+INPUT_ENTRY_POINTS = {
+    **{name: (lambda X, build=build: build().evaluate_batch(X, 1.0))
+       for name, build in DENOISERS.items()},
+    "evaluate": lambda X: GaussianDenoiser(STATS3).evaluate(X[0], 1.0),
+    "score_batch": lambda X: score_batch(GaussianDenoiser(STATS3), X, 1.0),
+    "denoiser_to_score": lambda X: denoiser_to_score(GaussianDenoiser(STATS3), X[0], 1.0),
+}
+ONE_ROW = ("evaluate", "denoiser_to_score")
+
+#: batches that are not (k, 3); without the check, some broadcast through a Gaussian or affine map
+BAD_SHAPES = {"1-d": np.zeros(3), "3-d": np.zeros((2, 2, 3)), "one-too-wide": np.zeros((2, 4))}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_SHAPES))
+@pytest.mark.parametrize("entry", sorted(INPUT_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_batch_that_is_not_k_by_dim(entry, shape):
+    with pytest.raises(DimensionMismatchError):
+        INPUT_ENTRY_POINTS[entry](BAD_SHAPES[shape])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(INPUT_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_non_finite_row(entry, value):
+    X = DATA3.values.copy()
+    X[0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueRangeError, match="non-finite input"):
+            INPUT_ENTRY_POINTS[entry](X)
+
+
+@pytest.mark.parametrize("entry", sorted(set(INPUT_ENTRY_POINTS) - set(ONE_ROW)))
+def test_every_batch_entry_point_maps_an_empty_batch_to_an_empty_batch(entry):
+    assert INPUT_ENTRY_POINTS[entry](np.empty((0, 3))).shape == (0, 3)
+
+
+def test_a_refused_batch_sends_the_plugin_no_byte(monkeypatch):
+    sent, write = [], ExternalDenoiser._write
+    monkeypatch.setattr(ExternalDenoiser, "_write",
+                        lambda self, data: sent.append(data) or write(self, data))
+    child = echo_child()
+    for X in [*BAD_SHAPES.values(), np.full((2, 3), np.nan), np.full((1, 3), -np.inf)]:
+        with pytest.raises((DimensionMismatchError, ValueRangeError)):
+            child.evaluate_batch(X, 1.0)
+    assert sent == []
+    assert np.array_equal(child.evaluate_batch(DATA3.values, 1.0), DATA3.values)
+    assert len(sent) == 1
+
+
 def test_gaussian_at_sigma_zero_is_the_projection_onto_the_basis():
-    den = GaussianDenoiser(_STATS)
-    coef = (_STATS.eigvals > 0).astype(np.float64)
+    den = GaussianDenoiser(STATS3)
+    coef = (STATS3.eigvals > 0).astype(np.float64)
     assert den.shrinkage(0.0).tobytes() == coef.tobytes()
-    proj = (_DATA.values - _STATS.mean) @ _STATS.basis
-    expected = _STATS.mean + (proj * coef) @ _STATS.basis.T
-    assert den.evaluate_batch(_DATA.values, 0.0).tobytes() == expected.tobytes()
-    weight = (_STATS.basis * coef) @ _STATS.basis.T
-    assert closed_form_linear(_STATS, 0.0).weight.tobytes() == weight.tobytes()
+    proj = (DATA3.values - STATS3.mean) @ STATS3.basis
+    expected = STATS3.mean + (proj * coef) @ STATS3.basis.T
+    assert den.evaluate_batch(DATA3.values, 0.0).tobytes() == expected.tobytes()
+    weight = (STATS3.basis * coef) @ STATS3.basis.T
+    assert closed_form_linear(STATS3, 0.0).weight.tobytes() == weight.tobytes()
 
 
 @pytest.mark.parametrize("sigma", [1e-200, np.nextafter(2.0**-511, 0)])

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import select
@@ -164,29 +165,24 @@ def test_child_exit_detected():
         ExternalDenoiser(_child("pass"), dim=3)
 
 
+#: a plugin that answers the handshake and then neither reads nor writes again
+STOPS_READING = _child(
+    "import sys, time\n"
+    "data = sys.stdin.buffer.read(8)\n"
+    "sys.stdout.buffer.write(data)\n"
+    "sys.stdout.buffer.flush()\n"
+    "time.sleep(60)\n")
+
+
 def test_timeout_detected():
-    script = (
-        "import sys, time\n"
-        "data = sys.stdin.buffer.read(8)\n"
-        "sys.stdout.buffer.write(data)\n"
-        "sys.stdout.buffer.flush()\n"
-        "time.sleep(60)\n"
-    )
-    plugin = ExternalDenoiser(_child(script), dim=2, timeout=0.5)
+    plugin = ExternalDenoiser(STOPS_READING, dim=2, timeout=0.5)
     with pytest.raises(PluginTimeoutError):
         plugin.evaluate_batch(np.zeros((1, 2)), 1.0)
     plugin._kill()
 
 
 def test_write_to_a_child_that_stops_reading_times_out():
-    script = (
-        "import sys, time\n"
-        "data = sys.stdin.buffer.read(8)\n"
-        "sys.stdout.buffer.write(data)\n"
-        "sys.stdout.buffer.flush()\n"
-        "time.sleep(60)\n"
-    )
-    plugin = ExternalDenoiser(_child(script), dim=128, timeout=1.0)
+    plugin = ExternalDenoiser(STOPS_READING, dim=128, timeout=1.0)
     batch = np.zeros((256, 128))  # a 256 KiB request, four times the pipe buffer
     start = time.monotonic()
     with pytest.raises(PluginTimeoutError):
@@ -195,6 +191,57 @@ def test_write_to_a_child_that_stops_reading_times_out():
     # the stream is desynchronised, so the child is killed at once, and its pipes closed
     assert plugin._proc.poll() is not None
     assert plugin._proc.stdin.closed and plugin._proc.stdout.closed
+
+
+def test_close_on_a_child_that_stops_reading_returns_within_one_timeout():
+    plugin = ExternalDenoiser(STOPS_READING, dim=2, timeout=1.0)
+    with contextlib.suppress(BlockingIOError):
+        while True:  # fill the request pipe, so that the shutdown tag cannot be written
+            os.write(plugin._proc.stdin.fileno(), bytes(1 << 16))
+    start = time.monotonic()
+    plugin.close()  # one timeout on the shutdown write, then no second one waiting for an exit
+    assert time.monotonic() - start < 1.5 * plugin.timeout
+    assert plugin._proc.poll() is not None
+    assert plugin._proc.stdin.closed and plugin._proc.stdout.closed
+
+
+#: a 2-d plugin that echoes every request but breaks its reply to the first one with the
+#: statement ``first`` run before that reply is written
+BREAKS_FIRST_REPLY = (
+    "import struct, sys, time\n"
+    "inp, out = sys.stdin.buffer, sys.stdout.buffer\n"
+    "out.write(inp.read(8)); out.flush()\n"
+    "first = True\n"
+    "while inp.read(1) == b'\\x01':\n"
+    "    k, sigma = struct.unpack('<Id', inp.read(12))\n"
+    "    rows = inp.read(16 * k)\n"
+    "    if first:\n"
+    "        first = False\n"
+    "        {first}\n"
+    "    out.write(struct.pack('<BI', 2, k) + rows); out.flush()\n")
+
+#: how each child breaks its first reply, and the error that the first call raises
+FIRST_REPLY_BREAKS = {
+    "two-rows-for-one": ("rows, k = rows * 2, 2 * k", DimensionMismatchError),
+    "after-the-timeout": ("time.sleep(1.5)", PluginTimeoutError),
+    "exits-mid-frame": ("out.write(struct.pack('<BI', 2, k) + rows[:8]); sys.exit(0)",
+                        PluginExitError),
+}
+
+
+@pytest.mark.parametrize("breaks", sorted(FIRST_REPLY_BREAKS))
+def test_a_broken_exchange_ends_the_child_and_no_later_call_reads_its_rest(breaks):
+    first, error = FIRST_REPLY_BREAKS[breaks]
+    plugin = ExternalDenoiser(_child(BREAKS_FIRST_REPLY.format(first=first)), dim=2,
+                              timeout=1.0)
+    with pytest.raises(error):
+        plugin.evaluate_batch(np.ones((1, 2)), 1.0)
+    assert plugin._proc.poll() is not None
+    assert plugin._proc.stdin.closed and plugin._proc.stdout.closed
+    for value in (2.0, 3.0):  # a child left running could hand these the rest of a reply
+        with pytest.raises(PluginExitError):
+            plugin.evaluate_batch(np.full((1, 2), value), 1.0)
+    plugin.close()
 
 
 def test_wrong_row_count_reported_as_dimension_mismatch():
