@@ -27,7 +27,7 @@ from .errors import (
     ValueRangeError,
     annotate,
 )
-from .optim import Adam
+from .optim import Adam, check_learning_rate
 
 AFFINE_MAGIC = b"AFF1"
 AFFINE_HEADER = "<Id"  # dim, sigma (NaN when unset)
@@ -52,8 +52,7 @@ class DistillConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch < 1:
             raise ValueRangeError("steps and batch must be at least 1")
-        if not 0 <= self.lr < math.inf:
-            raise ValueRangeError(f"learning rate must be finite and nonnegative, got {self.lr}")
+        check_learning_rate(self.lr)
 
 
 def closed_form_linear(stats: GaussianStats, sigma: float) -> AffineDenoiser:
@@ -95,17 +94,17 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
     check_dense_dim(X.dim)
     d, n = X.dim, cfg.batch
     rng = np.random.default_rng(cfg.seed)
-    W = np.zeros((d, d))
-    b = np.zeros(d)
-    opt = Adam([W, b], lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps) \
+    theta = np.zeros(d * d + d)  # W then b, as views
+    W, b = theta[:d * d].reshape(d, d), theta[d * d:]
+    grad = np.empty_like(theta)
+    grad_W, grad_b = grad[:d * d].reshape(d, d), grad[d * d:]
+    opt = Adam(theta, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps) \
         if cfg.use_adam else None
     losses = np.empty(cfg.steps)
     per_block = max(1, ROW_BUDGET // n)
     block = np.empty((per_block, n, d))
     resid = np.empty((n, d))
     scaled = np.empty((n, d))
-    grad_W = np.empty((d, d))
-    grad_b = np.empty(d)
     scale = 2.0 / n
     for first in range(0, cfg.steps, per_block):
         noisy = block[:min(per_block, cfg.steps - first)]
@@ -132,10 +131,9 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
                 resid.sum(axis=0, out=grad_b)
                 grad_b *= scale
                 if opt is not None:
-                    opt.step([grad_W, grad_b])
+                    opt.step([grad])
                 else:
-                    W -= cfg.lr * grad_W
-                    b -= cfg.lr * grad_b
+                    theta -= cfg.lr * grad
     return AffineDenoiser(weight=W, bias=b, sigma=sigma), losses
 
 

@@ -9,6 +9,7 @@ gradients are gated by a central-finite-difference check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -23,7 +24,7 @@ from .errors import (
     FormatError,
     ValueRangeError,
 )
-from .optim import Adam
+from .optim import Adam, check_learning_rate
 
 TOY_MAGIC = b"TOY1"
 TOY_HEADER = "<BIId"  # mode (0=dae, 1=skip), dim, hidden, sigma_data
@@ -59,6 +60,11 @@ class ToyDenoiser(Denoiser):
     input through noise-dependent coefficients. Custom coefficient callables
     may be supplied for analysis but only the standard family (parameterized
     by ``sigma_data``) survives checkpointing.
+
+    The model copies the six arrays it is given (W1, b1, W2, b2, W3, b3) into
+    one flat float64 buffer it owns, ``flat_params``; ``params`` is a tuple of
+    views of it in that order, so training updates the buffer in place and a
+    rebound entry fails loudly instead of leaving the buffer stale.
     """
 
     def __init__(self, params: list[np.ndarray], mode: str,
@@ -66,17 +72,20 @@ class ToyDenoiser(Denoiser):
                  skip_coefficients: tuple[Callable, Callable] | None = None):
         if mode not in _MODES:
             raise ValueRangeError(f"mode must be one of {_MODES}, got {mode!r}")
-        W1, b1, W2, b2, W3, b3 = params
-        dim = W3.shape[1]
-        hidden = W1.shape[1]
-        if [p.shape for p in params] != _param_shapes(dim, hidden):
-            raise DimensionMismatchError("inconsistent toy parameter shapes")
-        self.params = [np.asarray(p, dtype=np.float64) for p in params]
-        if not all(np.all(np.isfinite(p)) for p in self.params):
+        shapes = [np.shape(p) for p in params]
+        if len(shapes) != 6 or len(shapes[0]) != 2 or len(shapes[4]) != 2 \
+                or shapes != _param_shapes(shapes[4][1], shapes[0][1]):
+            raise DimensionMismatchError(
+                f"toy parameters must be W1, b1, W2, b2, W3, b3 of consistent shapes, got {shapes}")
+        self.dim = shapes[4][1]
+        self.hidden = shapes[0][1]
+        self.flat_params = np.empty(sum(math.prod(s) for s in shapes))
+        self.params = tuple(self._views(self.flat_params))
+        for view, p in zip(self.params, params):
+            view[...] = p
+        if not np.isfinite(self.flat_params).all():
             raise ValueRangeError("non-finite toy parameters")
         self.mode = mode
-        self.dim = dim
-        self.hidden = hidden
         self.sigma_data = float(sigma_data)
         if not 0.0 < self.sigma_data < np.inf:
             raise ValueRangeError(f"sigma_data must be finite and positive, got {sigma_data}")
@@ -85,74 +94,105 @@ class ToyDenoiser(Denoiser):
         self.c_skip, self.c_out = skip_coefficients
 
     def copy(self) -> "ToyDenoiser":
-        return ToyDenoiser([p.copy() for p in self.params], self.mode,
-                           self.sigma_data, (self.c_skip, self.c_out))
+        return ToyDenoiser(self.params, self.mode, self.sigma_data, (self.c_skip, self.c_out))
 
-    def _forward(self, X: np.ndarray, sigma: float):
-        """Forward pass returning the output and cached activations."""
-        sigma = check_sigma(sigma)
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """W1, b1, W2, b2, W3, b3 shaped views of a flat array of the parameter count."""
+        views, start = [], 0
+        for shape in _param_shapes(self.dim, self.hidden):
+            size = math.prod(shape)
+            views.append(flat[start:start + size].reshape(shape))
+            start += size
+        return views
+
+    def _forward(self, a0: np.ndarray, sigma: float, work=(None,) * 4):
+        """Output and cached activations (a0, a1, a2) for network input ``a0``.
+
+        ``a0`` holds the rows [x | log sigma] (see ``_network_input``) and
+        sigma has passed ``check_sigma``. ``work`` holds buffers for a1, a2,
+        the output and, in skip mode, the skip term; None entries are
+        allocated.
+        """
+        a1, a2, out, skip = work
         W1, b1, W2, b2, W3, b3 = self.params
-        a0 = np.concatenate([X, np.full((X.shape[0], 1), np.log(sigma))], axis=1)
-        a1 = a0 @ W1
+        a1 = np.matmul(a0, W1, out=a1)
         a1 += b1
         np.tanh(a1, out=a1)
-        a2 = a1 @ W2
+        a2 = np.matmul(a1, W2, out=a2)
         a2 += b2
         np.tanh(a2, out=a2)
-        F = a2 @ W3
-        F += b3
+        out = np.matmul(a2, W3, out=out)
+        out += b3
         if self.mode == "skip":
-            out = self.c_skip(sigma) * X + self.c_out(sigma) * F
-        else:
-            out = F
+            out *= self.c_out(sigma)
+            out += np.multiply(a0[:, :-1], self.c_skip(sigma), out=skip)
         return out, (a0, a1, a2)
 
     def _backward(self, out: np.ndarray, cache: tuple, target: np.ndarray,
-                  sigma: float) -> tuple[float, list[np.ndarray]]:
+                  sigma: float, work=(None,) * 4) -> tuple[float, list[np.ndarray]]:
         """Loss and gradients over the first ``len(target)`` rows of a forward pass.
 
         Rows past them (held-out rows sharing the pass) are ignored. The
-        cached activations of the used rows are overwritten.
+        cached activations of the used rows are overwritten. ``work`` holds
+        buffers for d_F, d_z2 and d_z1 and the gradients, views of one flat
+        gradient in parameter order (see ``_views``); None entries are
+        allocated. The gradients are written to and returned as those views.
         """
         n = len(target)
         a0, a1, a2 = (a[:n] for a in cache)
         _, _, W2, _, W3, _ = self.params
-        d_F = out[:n] - target
+        d_F, d_z2, d_z1, grads = work
+        if grads is None:
+            grads = self._views(np.empty_like(self.flat_params))
+        g_W1, g_b1, g_W2, g_b2, g_W3, g_b3 = grads
+        d_F = np.subtract(out[:n], target, out=d_F)
         loss = _mean_sq(d_F)
         d_F *= 2.0 / n  # d loss / d out
         if self.mode == "skip":
             d_F *= self.c_out(sigma)
-        g_W3 = a2.T @ d_F
-        g_b3 = d_F.sum(axis=0)
-        d_z2 = d_F @ W3.T
+        np.matmul(a2.T, d_F, out=g_W3)
+        d_F.sum(axis=0, out=g_b3)
+        d_z2 = np.matmul(d_F, W3.T, out=d_z2)
         d_z2 *= _one_minus_square(a2)
-        g_W2 = a1.T @ d_z2
-        g_b2 = d_z2.sum(axis=0)
-        d_z1 = d_z2 @ W2.T
+        np.matmul(a1.T, d_z2, out=g_W2)
+        d_z2.sum(axis=0, out=g_b2)
+        d_z1 = np.matmul(d_z2, W2.T, out=d_z1)
         d_z1 *= _one_minus_square(a1)
-        g_W1 = a0.T @ d_z1
-        g_b1 = d_z1.sum(axis=0)
-        return loss, [g_W1, g_b1, g_W2, g_b2, g_W3, g_b3]
+        np.matmul(a0.T, d_z1, out=g_W1)
+        d_z1.sum(axis=0, out=g_b1)
+        return loss, grads
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
         X = self._check_input(X)
-        return self._forward(X, sigma)[0]
+        sigma = check_sigma(sigma)
+        return self._forward(_network_input(X, sigma), sigma)[0]
 
     def loss(self, noisy: np.ndarray, target: np.ndarray, sigma: float) -> float:
         """Mean over the batch of the squared denoising error."""
-        out, _ = self._forward(np.asarray(noisy, dtype=np.float64), sigma)
+        sigma = check_sigma(sigma)
+        out, _ = self._forward(_network_input(noisy, sigma), sigma)
         return _mean_sq(out - target)
 
     def loss_grads(self, noisy: np.ndarray, target: np.ndarray,
                    sigma: float) -> tuple[float, list[np.ndarray]]:
         """Loss plus analytic gradients in parameter order W1,b1,W2,b2,W3,b3."""
-        out, cache = self._forward(np.asarray(noisy, dtype=np.float64), sigma)
+        sigma = check_sigma(sigma)
+        out, cache = self._forward(_network_input(noisy, sigma), sigma)
         return self._backward(out, cache, np.asarray(target, dtype=np.float64), sigma)
+
+
+def _network_input(X: np.ndarray, sigma: float) -> np.ndarray:
+    """The network's input rows [x | log sigma] for noisy rows X."""
+    X = np.asarray(X, dtype=np.float64)
+    a0 = np.empty((len(X), X.shape[1] + 1))
+    a0[:, :-1] = X
+    a0[:, -1] = np.log(sigma)
+    return a0
 
 
 def _mean_sq(diff: np.ndarray) -> float:
     """Mean over rows of the squared row norms."""
-    return float((diff**2).sum(axis=1).mean())
+    return float((diff**2).sum(axis=1).sum()) / len(diff)  # np.mean's steps, less overhead
 
 
 def _one_minus_square(a: np.ndarray) -> np.ndarray:
@@ -210,20 +250,32 @@ def train_toy(model: ToyDenoiser, X: DataMatrix, sigma: float, steps: int,
         raise ValueRangeError(f"batch must be in [1, {X.n_samples}], got {batch}")
     if steps < 1:
         raise ValueRangeError("need at least one step")
+    check_learning_rate(lr)
     rng = np.random.default_rng(seed)
     val_rows, val_noisy = noisy_rows(X, sigma, batch, rng)
-    opt = Adam(model.params, lr=lr)
+    # the training rows [:batch] of the stacked input are rewritten every step
+    stacked = _network_input(np.concatenate([val_noisy, val_noisy]), sigma)
+    noisy = np.empty_like(val_noisy)
+    h = model.hidden
+    forward_work = (np.empty((2 * batch, h)), np.empty((2 * batch, h)),
+                    np.empty((2 * batch, X.dim)), np.empty((2 * batch, X.dim)))
+    grad = np.empty_like(model.flat_params)
+    backward_work = (np.empty((batch, X.dim)), np.empty((batch, h)), np.empty((batch, h)),
+                     model._views(grad))
+    val_diff = np.empty_like(val_rows)
+    opt = Adam(model.flat_params, lr=lr)
     losses = np.empty(steps)
     val_losses = np.empty(steps + 1)
     for k in range(steps):
-        rows, noisy = noisy_rows(X, sigma, batch, rng)
-        out, cache = model._forward(np.concatenate([noisy, val_noisy]), sigma)
-        val_losses[k] = _mean_sq(out[batch:] - val_rows)
-        loss, grads = model._backward(out, cache, rows, sigma)
-        if not np.isfinite(loss):
+        rows, _ = noisy_rows(X, sigma, batch, rng, out=noisy)
+        stacked[:batch, :-1] = noisy
+        out, cache = model._forward(stacked, sigma, forward_work)
+        val_losses[k] = _mean_sq(np.subtract(out[batch:], val_rows, out=val_diff))
+        loss, _ = model._backward(out, cache, rows, sigma, backward_work)
+        if not math.isfinite(loss):
             raise DivergenceError(f"non-finite training loss at step {k}", step=k, sigma=sigma)
         losses[k] = loss
-        opt.step(grads)
+        opt.step([grad])
     val_losses[steps] = model.loss(val_noisy, val_rows, sigma)
     return TrainResult(model=model, losses=losses, val_losses=val_losses)
 
@@ -236,30 +288,26 @@ def grad_check(model: ToyDenoiser, x: np.ndarray, target: np.ndarray,
     the model is smaller) with step 1e-5 on the squared-error loss at a
     single point. Correct backpropagation lands well below 1e-4.
     """
+    if n_checks < 1:
+        raise ValueRangeError(f"n_checks must be at least 1, got {n_checks}")
     x = np.asarray(x, dtype=np.float64)[None, :]
     target = np.asarray(target, dtype=np.float64)[None, :]
     h = 1e-5
     _, grads = model.loss_grads(x, target, sigma)
-    sizes = [p.size for p in model.params]
-    total = sum(sizes)
-    rng = np.random.default_rng(0)
-    picks = rng.permutation(total)[: min(n_checks, total)]
-    offsets = np.cumsum([0] + sizes)
-    gmax = max(float(np.max(np.abs(g))) for g in grads)
-    floor = 1e-8 * (1.0 + gmax)
+    analytic_all = np.concatenate(grads, axis=None)
+    theta = model.flat_params
+    picks = np.random.default_rng(0).permutation(theta.size)[:n_checks]
+    floor = 1e-8 * (1.0 + float(np.max(np.abs(analytic_all))))
     worst = 0.0
-    for flat in picks:
-        pi = int(np.searchsorted(offsets, flat, side="right") - 1)
-        local = int(flat - offsets[pi])
-        p = model.params[pi]
-        orig = p.flat[local]
-        p.flat[local] = orig + h
+    for i in picks:
+        orig = theta[i]
+        theta[i] = orig + h
         up = model.loss(x, target, sigma)
-        p.flat[local] = orig - h
+        theta[i] = orig - h
         down = model.loss(x, target, sigma)
-        p.flat[local] = orig
+        theta[i] = orig
         numeric = (up - down) / (2.0 * h)
-        analytic = grads[pi].flat[local]
+        analytic = analytic_all[i]
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
         worst = max(worst, err)
     return worst
@@ -272,7 +320,7 @@ def save_toy(model: ToyDenoiser, path: str | Path) -> None:
     sigma_data, then W1, b1, W2, b2, W3, b3 as little-endian f64 row-major.
     """
     write_container(path, TOY_MAGIC, TOY_HEADER, (_MODES.index(model.mode), model.dim,
-                                                  model.hidden, model.sigma_data), model.params)
+                                                  model.hidden, model.sigma_data), [model.flat_params])
 
 
 def load_toy(path: str | Path) -> ToyDenoiser:

@@ -81,16 +81,26 @@ def _reference_train(model, X, sigma, steps, batch, lr, seed):
 
 
 @pytest.mark.parametrize("mode", ["dae", "skip"])
-@pytest.mark.parametrize("batch", [1, 2, 8, 32])
-def test_train_toy_matches_reference_loop(mode, batch):
-    X = gaussian_dataset(2, 40, 5, eigvals=np.linspace(1.5, 0.2, 5))
-    kwargs = dict(sigma=0.6, steps=150, batch=batch, lr=5e-3, seed=8)
+@pytest.mark.parametrize("batch, dim, hidden, steps", [
+    pytest.param(1, 5, 24, 150, id="1"),
+    pytest.param(2, 5, 24, 150, id="2"),
+    pytest.param(8, 5, 24, 150, id="8"),
+    pytest.param(32, 5, 24, 150, id="32"),
+    # the toy-trend benchmark's shape, whose 64 x 96 x 96 product OpenBLAS may split across threads
+    pytest.param(32, 8, 96, 40, id="32-dim8-hidden96"),
+])
+def test_train_toy_matches_reference_loop(mode, batch, dim, hidden, steps):
+    X = gaussian_dataset(2, 40, dim, eigvals=np.linspace(1.5, 0.2, dim))
+    kwargs = dict(sigma=0.6, steps=steps, batch=batch, lr=5e-3, seed=8)
     runs = []
     for _ in range(2):
-        model = init_toy(3, 5, 24, mode)
+        model = init_toy(3, dim, hidden, mode)
+        params = model.params
         res = train_toy(model, X, **kwargs)
+        # training updates the parameter buffer in place
+        assert all(a is b for a, b in zip(model.params, params))
         runs.append([*model.params, res.losses, res.val_losses])
-    ref_model = init_toy(3, 5, 24, mode)
+    ref_model = init_toy(3, dim, hidden, mode)
     ref = [*ref_model.params, *_reference_train(ref_model, X, **kwargs)]
     for got, again, want in zip(*runs, ref):
         assert np.array_equal(got, again)
@@ -125,6 +135,11 @@ def test_train_validation_errors():
         train_toy(model, X, sigma=0.5, steps=10, batch=5, lr=0.1, seed=0)
     with pytest.raises(ValueRangeError):
         train_toy(model, X, sigma=0.0, steps=10, batch=2, lr=0.1, seed=0)
+    before = model.flat_params.copy()
+    for lr in (-0.01, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueRangeError, match="learning rate"):
+            train_toy(model, X, sigma=0.5, steps=10, batch=2, lr=lr, seed=0)
+    assert np.array_equal(model.flat_params, before)
 
 
 def test_train_divergence_carries_step_and_sigma(two_point_data):
@@ -157,6 +172,13 @@ def test_grad_check_catches_broken_backprop(rng):
     broken = Broken([p.copy() for p in base.params], "dae")
     err = grad_check(broken, rng.standard_normal(5), rng.standard_normal(5), 0.8)
     assert err > 1e-2
+
+
+@pytest.mark.parametrize("n_checks", [0, -3])
+def test_grad_check_needs_at_least_one_check(n_checks):
+    model = init_toy(1, 3, 6, "dae")
+    with pytest.raises(ValueRangeError, match="n_checks"):
+        grad_check(model, np.zeros(3), np.zeros(3), 1.0, n_checks=n_checks)
 
 
 def test_grad_check_degenerate_point_is_finite():
@@ -211,6 +233,29 @@ def test_checkpoint_errors(tmp_path):
                           + struct.pack("<d", 0.5) + bytes(16))
     with pytest.raises(DimensionMismatchError):
         load_toy(truncated)
+
+
+@pytest.mark.parametrize("count", [0, 5, 7])
+def test_params_must_be_six_arrays(count):
+    params = init_toy(0, 3, 4, "dae").params
+    with pytest.raises(DimensionMismatchError):
+        ToyDenoiser([*params, *params][:count], "dae")
+
+
+def test_params_are_a_tuple_of_views_of_an_owned_buffer():
+    given = [p.copy() for p in init_toy(0, 3, 4, "dae").params]
+    model = ToyDenoiser(given, "dae")
+    twin = model.copy()
+    with pytest.raises(TypeError):
+        model.params[0] = np.zeros((4, 4))
+    for p in model.params:
+        assert np.shares_memory(p, model.flat_params)
+    model.flat_params += 1.0
+    # neither the caller's arrays nor the copy see the update
+    for p, g, t in zip(model.params, given, twin.params):
+        assert np.array_equal(p, g + 1.0) and np.array_equal(t, g)
+        assert not np.shares_memory(g, model.flat_params)
+        assert not np.shares_memory(t, model.flat_params)
 
 
 @pytest.mark.parametrize("sigma_data", [float("nan"), float("inf"), 0.0, -0.5])
