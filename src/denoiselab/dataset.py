@@ -71,18 +71,6 @@ def noisy_rows(X: DataMatrix, sigma: float, n: int, rng: np.random.Generator,
     return rows, noisy
 
 
-def squared_distances(A: np.ndarray, B: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
-    """||a - b||^2 for all row pairs, as ||a||^2 - 2<a,b> + ||b||^2 clipped at 0.
-
-    ``b_sq`` holds the squared row norms of B, so a fixed B computes them once.
-    The terms are combined in place in the one k x N array the product allocates.
-    """
-    sq = 2.0 * A @ B.T
-    np.subtract((A**2).sum(axis=1)[:, None], sq, out=sq)
-    sq += b_sq[None, :]
-    return np.maximum(sq, 0.0, out=sq)
-
-
 @dataclass(frozen=True)
 class GaussianStats:
     """Empirical mean plus the eigendecomposition of the empirical covariance.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import DataMatrix, GaussianStats, squared_distances
+from .dataset import DataMatrix, GaussianStats
 from .errors import DimensionMismatchError, ValueRangeError
 
 #: noise levels from this one up square to infinity, so they are refused where they enter
@@ -74,9 +74,10 @@ class MultiDeltaDenoiser(Denoiser):
     """Exact optimal denoiser when the data distribution is a finite point set.
 
     Output is the softmax-weighted average of the training rows with logits
-    -||x - y_i||^2 / (2 sigma^2). Weights are materialized only in the
-    max-shifted log domain, where a logit of -inf is a zero weight and a row
-    with no finite logit is refused. sigma must square to a finite normal
+    -||x - y_i||^2 / (2 sigma^2), taken as ``row_scores`` over sigma^2 (the
+    ||x||^2 term cancels), each row shifted by its maximum first: every logit
+    is then <= 0, and one that overflows is -inf, a zero weight. A row whose
+    scores are not all finite is refused. sigma must square to a finite normal
     float, 2**-511 <= sigma < 2**512: a sigma^2 that underflows to 0 would
     divide 0 by 0. The output always lies in the convex hull of the rows.
     """
@@ -84,7 +85,13 @@ class MultiDeltaDenoiser(Denoiser):
     def __init__(self, data: DataMatrix):
         self.data = data
         self.dim = data.dim
-        self._sq_norms = (data.values**2).sum(axis=1)
+        self._half_sq_norms = 0.5 * (data.values**2).sum(axis=1)
+
+    def row_scores(self, X: np.ndarray) -> np.ndarray:
+        """x.y_i - ||y_i||^2 / 2 for rows x of X: the larger, the closer y_i is to x."""
+        scores = X @ self.data.values.T
+        scores -= self._half_sq_norms
+        return scores
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
         X = self._check_input(X)
@@ -92,16 +99,18 @@ class MultiDeltaDenoiser(Denoiser):
             raise ValueRangeError(f"multi-delta needs sigma >= 2**-511, so that sigma^2 is a "
                                   f"finite normal float, got {sigma}")
         Y = self.data.values
-        with np.errstate(over="ignore", invalid="ignore"):  # the row maxima below report it
-            w = squared_distances(X, Y, self._sq_norms)  # logits, then weights, in place
-            w /= -2.0 * sigma**2  # x / -c is -x / c bit for bit
+        # a score that overflows is refused at the row maxima; after the shift, a
+        # scaled score that overflows is -inf, an exact zero weight
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self.row_scores(X)  # then weights, in place
             top = w.max(axis=1, keepdims=True)
             if not np.isfinite(top).all():
                 raise ValueRangeError(f"multi-delta logits overflow at sigma={sigma}")
             w -= top
+            w /= sigma**2
             np.exp(w, out=w)
-            w /= w.sum(axis=1, keepdims=True)
-        return w @ Y
+        out = w @ Y
+        return np.divide(out, w.sum(axis=1, keepdims=True), out=out)
 
 
 class GaussianDenoiser(Denoiser):

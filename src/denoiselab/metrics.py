@@ -15,8 +15,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import DataMatrix, noisy_rows, squared_distances, write_csv, write_json
-from .denoisers import Denoiser, check_sigma
+from .dataset import DataMatrix, noisy_rows, write_csv, write_json
+from .denoisers import Denoiser, MultiDeltaDenoiser, check_sigma
 from .errors import DimensionMismatchError, ValueRangeError, annotate
 from .sampler import SigmaSchedule
 
@@ -108,22 +108,24 @@ def gl_score(samples: np.ndarray, Y: DataMatrix) -> MetricValue:
 
     Near zero means the samples replicate training data; values above 0.6
     are the customary threshold for genuine generalization. Nearest
-    neighbors are exact brute force under the Euclidean distance, ties
-    broken by the lowest row index. Zero-norm samples are skipped and
-    counted.
+    neighbors are exact brute force, the rows of largest
+    ``MultiDeltaDenoiser.row_scores``, ties broken by the lowest row index.
+    Zero-norm samples are skipped and counted; a NaN or an infinity raises
+    ValueRangeError.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[1] != Y.dim:
         raise DimensionMismatchError(
             f"sample dim {samples.shape[1]} != dataset dim {Y.dim}")
+    if not np.isfinite(samples).all():
+        raise ValueRangeError("non-finite sample")
     norms = np.linalg.norm(samples, axis=1)
     ok = norms > 0
     skipped = int((~ok).sum())
     kept = samples[ok]
     if kept.shape[0] == 0:
         raise ValueRangeError("every sample has zero norm")
-    sq = squared_distances(kept, Y.values, (Y.values**2).sum(axis=1))
-    nearest = Y.values[np.argmin(sq, axis=1)]
+    nearest = Y.values[np.argmax(MultiDeltaDenoiser(Y).row_scores(kept), axis=1)]
     dists = np.linalg.norm(kept - nearest, axis=1)
     return MetricValue(float(np.mean(dists / norms[ok])), skipped)
 

@@ -122,11 +122,13 @@ def edm_schedule(sigma_min: float, sigma_max: float, rho: float, n_steps: int) -
 
 
 def _start_rows(x_T: np.ndarray, dim: int) -> np.ndarray:
-    """A (d,) or (k, d) start with k >= 1 as float64, else DimensionMismatchError."""
+    """A finite (d,) or (k, d) start with k >= 1 as float64, else a typed error."""
     x_T = np.asarray(x_T, dtype=np.float64)
     if x_T.ndim not in (1, 2) or x_T.shape[-1] != dim or x_T.size == 0:
         raise DimensionMismatchError(
             f"start state shape {x_T.shape} != (dim={dim},) or (k>=1, dim={dim})")
+    if not np.isfinite(x_T).all():
+        raise ValueRangeError("non-finite start state")
     return x_T
 
 

@@ -108,7 +108,7 @@ class ToyDenoiser(Denoiser):
     def _forward(self, a0: np.ndarray, sigma: float, work=(None,) * 4):
         """Output and cached activations (a0, a1, a2) for network input ``a0``.
 
-        ``a0`` holds the rows [x | log sigma] (see ``_network_input``) and
+        ``a0`` holds the rows [x | log sigma] (see ``_input``) and
         sigma has passed ``check_sigma``. ``work`` holds buffers for a1, a2,
         the output and, in skip mode, the skip term; None entries are
         allocated.
@@ -163,31 +163,41 @@ class ToyDenoiser(Denoiser):
         return loss, grads
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:
-        X = self._check_input(X)
-        sigma = check_sigma(sigma)
-        return self._forward(_network_input(X, sigma), sigma)[0]
+        a0, sigma = self._input(X, sigma)
+        return self._forward(a0, sigma)[0]
 
     def loss(self, noisy: np.ndarray, target: np.ndarray, sigma: float) -> float:
         """Mean over the batch of the squared denoising error."""
-        sigma = check_sigma(sigma)
-        out, _ = self._forward(_network_input(noisy, sigma), sigma)
+        a0, target, sigma = self._loss_batch(noisy, target, sigma)
+        out, _ = self._forward(a0, sigma)
         return _mean_sq(out - target)
 
     def loss_grads(self, noisy: np.ndarray, target: np.ndarray,
                    sigma: float) -> tuple[float, list[np.ndarray]]:
         """Loss plus analytic gradients in parameter order W1,b1,W2,b2,W3,b3."""
+        a0, target, sigma = self._loss_batch(noisy, target, sigma)
+        out, cache = self._forward(a0, sigma)
+        return self._backward(out, cache, target, sigma)
+
+    def _input(self, X: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
+        """The network's input rows [x | log sigma] for a ``_check_input`` batch, and sigma."""
+        X = self._check_input(X)
         sigma = check_sigma(sigma)
-        out, cache = self._forward(_network_input(noisy, sigma), sigma)
-        return self._backward(out, cache, np.asarray(target, dtype=np.float64), sigma)
+        a0 = np.empty((len(X), X.shape[1] + 1))
+        a0[:, :-1] = X
+        a0[:, -1] = np.log(sigma)
+        return a0, sigma
 
-
-def _network_input(X: np.ndarray, sigma: float) -> np.ndarray:
-    """The network's input rows [x | log sigma] for noisy rows X."""
-    X = np.asarray(X, dtype=np.float64)
-    a0 = np.empty((len(X), X.shape[1] + 1))
-    a0[:, :-1] = X
-    a0[:, -1] = np.log(sigma)
-    return a0
+    def _loss_batch(self, noisy: np.ndarray, target: np.ndarray, sigma: float):
+        """``_input`` of a nonempty batch, a target of the batch's shape, and sigma."""
+        a0, sigma = self._input(noisy, sigma)
+        target = np.asarray(target, dtype=np.float64)
+        if target.shape != (len(a0), self.dim):
+            raise DimensionMismatchError(
+                f"target shape {target.shape} is not the batch shape {(len(a0), self.dim)}")
+        if len(a0) == 0:
+            raise ValueRangeError("empty batch: the loss is a mean over its rows")
+        return a0, target, sigma
 
 
 def _mean_sq(diff: np.ndarray) -> float:
@@ -254,7 +264,7 @@ def train_toy(model: ToyDenoiser, X: DataMatrix, sigma: float, steps: int,
     rng = np.random.default_rng(seed)
     val_rows, val_noisy = noisy_rows(X, sigma, batch, rng)
     # the training rows [:batch] of the stacked input are rewritten every step
-    stacked = _network_input(np.concatenate([val_noisy, val_noisy]), sigma)
+    stacked, _ = model._input(np.concatenate([val_noisy, val_noisy]), sigma)
     noisy = np.empty_like(val_noisy)
     h = model.hidden
     forward_work = (np.empty((2 * batch, h)), np.empty((2 * batch, h)),

@@ -16,6 +16,7 @@ import denoiselab
 from denoiselab import cli, load_affine, read_raw_f64
 from denoiselab.cli import main
 from denoiselab.errors import PluginExitError
+from denoiselab.sampler import Trajectory
 from denoiselab.verify import SUITES
 from denoiselab.synth import cluster_dataset
 
@@ -258,16 +259,27 @@ def test_sample_from_toy_checkpoint_without_data(tmp_path):
     assert finals.shape == (2, 3) and np.all(np.isfinite(finals))
 
 
-def test_verify_trajectory_suite_reports_known_tolerance_defect(capsys):
-    # the error-decrease checks pass; the stated 1e-3 tolerance cannot be met
-    # by a first-order update at 400 steps (error ~ ln(smax/smin)/(4n)), so
-    # the suite reports FAIL on that check and exits 1
-    code = main(["verify", "--suite", "trajectory", "--n-seeds", "4"])
+def test_verify_trajectory_suite_passes_euler_and_fails_a_wrong_sampler(capsys, monkeypatch):
+    # Euler meets its own per-eigenmode closed form and halves its error from 200 to 400 steps
+    assert main(["verify", "--suite", "trajectory", "--n-seeds", "4"]) == 0
     out = capsys.readouterr().out
-    assert "PASS trajectory/error-decreases@10->50" in out
-    assert "PASS trajectory/error-decreases@200->400" in out
-    assert "FAIL trajectory/max-relerr@400steps" in out
-    assert code == 1
+    for check in ("euler-closed-form-relgap@400steps", "error-decreases@10->50",
+                  "error-decreases@200->400", "error-ratio-minus-2@200->400"):
+        assert f"PASS trajectory/{check}" in out
+    assert "FAIL" not in out
+
+    def late_sample(D, schedule, x_T):  # a wrong step: D is evaluated at the next level
+        levels = np.append(schedule.values, schedule.values[-1])
+        x = np.array(x_T, dtype=np.float64)
+        for t, t_next in zip(schedule.values, levels[1:]):
+            x = (t_next / t) * x + (1.0 - t_next / t) * D.evaluate_batch(x, float(t_next))
+        return Trajectory(sigmas=np.array([0.0]), states=x[None])
+
+    monkeypatch.setattr(denoiselab.verify, "ode_sample", late_sample)
+    assert main(["verify", "--suite", "trajectory", "--n-seeds", "4"]) == 1
+    assert "FAIL trajectory/euler-closed-form-relgap@400steps" in capsys.readouterr().out
+    # the gap tolerance is the --tolerance flag
+    assert main(["verify", "--suite", "trajectory", "--n-seeds", "4", "--tolerance", "10"]) == 0
 
 
 def test_external_denoiser_failure_maps_to_plugin_exit_code(tmp_path, cluster_csv):
@@ -721,8 +733,6 @@ def test_verify_without_dimensions_or_samples_exits_3(tmp_path, capsys, suite, f
      "finite normal float"),
     (["metrics", "--sigma-min", "1e-200", "--denoiser", "multi-delta"], "finite normal float"),
     (["distill", "--lr", "1e155", "--steps", "5"], "non-finite distillation loss at step 1"),
-    (["sample", "--sigma-max", "1e154", "--denoiser", "multi-delta"],  # |x_T|^2 overflows
-     "multi-delta logits overflow"),
 ])
 def test_extreme_finite_values_exit_3_before_any_file(tmp_path, cluster_csv, capsys, argv,
                                                        message):
@@ -733,6 +743,23 @@ def test_extreme_finite_values_exit_3_before_any_file(tmp_path, cluster_csv, cap
     assert code == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_multi_delta_sampling_from_a_start_whose_square_overflows_lands_on_training_rows(
+        tmp_path, cluster_csv):
+    # |x_T| is near 1e154, so |x_T|^2 overflows; the scores x.y - |y|^2 / 2 do not
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["sample", "--sigma-max", "1e154", "--denoiser", "multi-delta",
+                     "--count", "3", "--data", cluster_csv, "--out", str(out)])
+    assert code == 0
+    finals = np.loadtxt(out / "finals.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+    rows = np.loadtxt(cluster_csv, delimiter=",", ndmin=2)
+    assert finals.shape == (3, rows.shape[1])
+    for final in finals:
+        rel = np.linalg.norm(rows - final, axis=1) / np.linalg.norm(rows, axis=1)
+        assert rel.min() <= 1e-2
 
 
 @pytest.mark.parametrize("argv", [

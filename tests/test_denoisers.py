@@ -342,15 +342,39 @@ def test_score_refuses_a_sigma_whose_square_is_not_a_normal_float(two_point_stat
         assert np.all(np.isfinite(score_batch(den, np.ones((1, 2)), 2.0**-511)))
 
 
-def test_multi_delta_refuses_overflowing_distances_without_warnings(two_point_data):
-    # |x| = 1e5 at sigma = 1e-150: every logit is -inf, so no weight is left
-    den = MultiDeltaDenoiser(DataMatrix(np.zeros((3, 4))))
+def test_multi_delta_answers_where_squared_distances_overflow_without_warnings(two_point_data):
+    # |x|^2 / sigma^2 overflows in each case, but the scores x.y - |y|^2 / 2 stay finite
+    two = MultiDeltaDenoiser(two_point_data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueRangeError, match="logits overflow"):
-            den.evaluate_batch(np.full((1, 4), 1e5), 1e-150)
-        with pytest.raises(ValueRangeError, match="logits overflow"):
-            MultiDeltaDenoiser(two_point_data).evaluate_batch(np.full((2, 2), 1e160), 1.0)
+        out = MultiDeltaDenoiser(DataMatrix(np.zeros((3, 4)))).evaluate_batch(
+            np.full((1, 4), 1e5), 1e-150)
+        assert np.array_equal(out, np.zeros((1, 4)))
+        # along (1, 1) the row (1, 0) is nearer by 2e160; along (0, 1) both are equally near
+        assert np.array_equal(two.evaluate_batch(np.full((2, 2), 1e160), 1.0), [[1.0, 0.0]] * 2)
+        assert np.array_equal(two.evaluate_batch(np.array([[0.0, 1e160]]), 1.0), [[0.0, 0.0]])
+        # x.y itself overflows: no score is finite
+        with pytest.raises(ValueRangeError, match="multi-delta logits overflow"):
+            MultiDeltaDenoiser(DataMatrix(np.ones((1, 2)))).evaluate_batch(
+                np.full((1, 2), 1.7e308), 1.0)
+
+
+def test_multi_delta_matches_an_extended_precision_softmax_far_from_the_data():
+    # |x| = 1e4 at sigma = 100: the squared distances cancel 1e8 against the
+    # logit spread of about 1 that sets the weights
+    if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+        pytest.skip("np.longdouble is no wider than float64 here")
+    rng = np.random.default_rng(21)
+    Y = rng.uniform(-1.0, 1.0, (64, 16))
+    X = rng.standard_normal((8, 16))
+    X *= 1e4 / np.linalg.norm(X, axis=1, keepdims=True)
+    out = MultiDeltaDenoiser(DataMatrix(Y)).evaluate_batch(X, 100.0)
+    Xl, Yl = X.astype(np.longdouble), Y.astype(np.longdouble)
+    logits = -((Xl[:, None, :] - Yl[None]) ** 2).sum(axis=2) / (2 * np.longdouble(100.0) ** 2)
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    ref = (w @ Yl) / w.sum(axis=1, keepdims=True)
+    assert w.min() < 0.5 * w.max(axis=1).min()  # the weights are not all alike
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(Y))
 
 
 def test_multi_delta_keeps_its_finite_rows_where_far_logits_overflow():

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,16 @@ def test_gl_score_skips_zero_norm_and_breaks_ties_low():
     Y = DataMatrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     out = gl_score(np.array([[0.0, 0.0], [1.0, 0.0]]), Y)
     assert out.skipped == 1 and out.value == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gl_score_refuses_non_finite_samples_without_warnings(bad):
+    # a NaN was once skipped as a zero norm and an infinity gave a NaN value
+    Y = DataMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueRangeError, match="non-finite sample"):
+            gl_score(np.array([[1.0, 0.0], [bad, 0.0]]), Y)
 
 
 @settings(max_examples=20, deadline=None)

@@ -374,6 +374,22 @@ def test_bad_start_shapes_raise_before_any_denoiser_call(shape):
         gaussian_trajectory(stats, np.ones(shape), schedule)
 
 
+@pytest.mark.parametrize("start", [[1.0, np.nan, 0.0], [[1.0, 2.0, 3.0], [np.inf, 0.0, 0.0]]],
+                         ids=["nan-vector", "inf-row"])
+def test_non_finite_starts_raise_before_any_denoiser_call(start):
+    den = _Counting(3)
+    schedule = edm_schedule(0.01, 10.0, 7.0, 5)
+    stats = GaussianStats(mean=np.zeros(3), basis=np.eye(3), eigvals=np.ones(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueRangeError, match="non-finite start state") as info:
+            ode_sample(den, schedule, np.array(start))
+        assert getattr(info.value, "step", None) is None
+        with pytest.raises(ValueRangeError, match="non-finite start state"):
+            gaussian_trajectory(stats, np.array(start), schedule)
+    assert den.shapes == []
+
+
 @pytest.mark.parametrize("k", [1, 5])
 def test_one_k_row_denoiser_call_per_step(k):
     den = _Counting(3)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,25 @@ def test_params_are_a_tuple_of_views_of_an_owned_buffer():
         assert np.array_equal(p, g + 1.0) and np.array_equal(t, g)
         assert not np.shares_memory(g, model.flat_params)
         assert not np.shares_memory(t, model.flat_params)
+
+
+@pytest.mark.parametrize("noisy, target, error", [
+    (np.empty((0, 3)), np.empty((0, 3)), ValueRangeError),
+    (np.ones((2, 3)), np.ones((2, 2)), DimensionMismatchError),
+    (np.ones((2, 3)), np.ones((3, 3)), DimensionMismatchError),
+    (np.ones((2, 3)), np.ones(3), DimensionMismatchError),
+    (np.ones((2, 4)), np.ones((2, 4)), DimensionMismatchError),
+    (np.ones(3), np.ones(3), DimensionMismatchError),
+    (np.array([[1.0, np.nan, 0.0]]), np.ones((1, 3)), ValueRangeError),
+], ids=["empty", "target-width", "target-rows", "target-vector", "batch-width", "batch-vector",
+        "nan-batch"])
+def test_losses_take_the_input_rule_and_a_matching_target(noisy, target, error):
+    model = init_toy(0, 3, 4, "dae")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loss in (model.loss, model.loss_grads):
+            with pytest.raises(error):
+                loss(noisy, target, 1.0)
 
 
 @pytest.mark.parametrize("sigma_data", [float("nan"), float("inf"), 0.0, -0.5])
