@@ -146,8 +146,8 @@ class GaussianDenoiser(Denoiser):
 class AffineDenoiser(Denoiser):
     """Dense affine map x -> W x + b, the output of linear distillation.
 
-    ``sigma`` records the noise level the map was fit at; evaluation ignores
-    the sigma argument since the map itself is level-specific.
+    ``sigma`` records the noise level the map was fit at; the map is level-specific,
+    so evaluation only checks its sigma argument by ``check_sigma(sigma, zero=True)``.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, sigma: float | None = None):
@@ -168,6 +168,7 @@ class AffineDenoiser(Denoiser):
 
     def evaluate_batch(self, X: np.ndarray, sigma: float = 0.0) -> np.ndarray:
         X = self._check_input(X)
+        check_sigma(sigma, zero=True)
         return X @ self.weight.T + self.bias
 
 

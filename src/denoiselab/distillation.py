@@ -27,7 +27,7 @@ from .errors import (
     ValueRangeError,
     annotate,
 )
-from .optim import Adam, check_learning_rate
+from .optim import Adam, check_learning_rate, mean_sq
 
 AFFINE_MAGIC = b"AFF1"
 AFFINE_HEADER = "<Id"  # dim, sigma (NaN when unset)
@@ -121,7 +121,7 @@ def distill_linear(target: Denoiser, X: DataMatrix, sigma: float,
                 np.matmul(x, W.T, out=resid)
                 resid += b
                 resid -= t
-                loss = float((resid**2).sum(axis=1).sum()) / n  # np.mean's steps, less overhead
+                loss = mean_sq(resid)
                 if not math.isfinite(loss):
                     raise DivergenceError(f"non-finite distillation loss at step {k} "
                                           f"(sigma={sigma})", step=k, sigma=sigma)

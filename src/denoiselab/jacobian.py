@@ -113,7 +113,9 @@ def perturb_and_resample(D: Denoiser, schedule: SigmaSchedule, trajectory: Traje
     schedule. Magnitude 0 reproduces the unperturbed final state exactly.
     """
     v = np.asarray(direction, dtype=np.float64)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+    if v.shape != (D.dim,):
+        raise DimensionMismatchError(f"direction shape {v.shape} != (dim={D.dim},)")
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ValueRangeError("perturbation direction must be unit norm")
     if len(trajectory) != schedule.n_steps + 1:
         raise DimensionMismatchError("trajectory does not match the schedule")

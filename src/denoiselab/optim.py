@@ -15,6 +15,11 @@ def check_learning_rate(lr: float) -> None:
         raise ValueRangeError(f"learning rate must be finite and nonnegative, got {lr}")
 
 
+def mean_sq(diff: np.ndarray) -> float:
+    """Mean over rows of the squared row norms, the trainers' loss."""
+    return float((diff**2).sum(axis=1).sum()) / len(diff)  # np.mean's steps, less overhead
+
+
 class Adam:
     """Adaptive moment estimation with bias correction.
 

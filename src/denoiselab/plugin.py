@@ -280,7 +280,3 @@ def main(argv: list[str] | None = None) -> int:
     else:
         den = MultiDeltaDenoiser(data)
     return serve_plugin(den.evaluate_batch, den.dim)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

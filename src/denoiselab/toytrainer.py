@@ -24,7 +24,7 @@ from .errors import (
     FormatError,
     ValueRangeError,
 )
-from .optim import Adam, check_learning_rate
+from .optim import Adam, check_learning_rate, mean_sq
 
 TOY_MAGIC = b"TOY1"
 TOY_HEADER = "<BIId"  # mode (0=dae, 1=skip), dim, hidden, sigma_data
@@ -146,7 +146,7 @@ class ToyDenoiser(Denoiser):
             grads = self._views(np.empty_like(self.flat_params))
         g_W1, g_b1, g_W2, g_b2, g_W3, g_b3 = grads
         d_F = np.subtract(out[:n], target, out=d_F)
-        loss = _mean_sq(d_F)
+        loss = mean_sq(d_F)
         d_F *= 2.0 / n  # d loss / d out
         if self.mode == "skip":
             d_F *= self.c_out(sigma)
@@ -170,7 +170,7 @@ class ToyDenoiser(Denoiser):
         """Mean over the batch of the squared denoising error."""
         a0, target, sigma = self._loss_batch(noisy, target, sigma)
         out, _ = self._forward(a0, sigma)
-        return _mean_sq(out - target)
+        return mean_sq(out - target)
 
     def loss_grads(self, noisy: np.ndarray, target: np.ndarray,
                    sigma: float) -> tuple[float, list[np.ndarray]]:
@@ -198,11 +198,6 @@ class ToyDenoiser(Denoiser):
         if len(a0) == 0:
             raise ValueRangeError("empty batch: the loss is a mean over its rows")
         return a0, target, sigma
-
-
-def _mean_sq(diff: np.ndarray) -> float:
-    """Mean over rows of the squared row norms."""
-    return float((diff**2).sum(axis=1).sum()) / len(diff)  # np.mean's steps, less overhead
 
 
 def _one_minus_square(a: np.ndarray) -> np.ndarray:
@@ -280,7 +275,7 @@ def train_toy(model: ToyDenoiser, X: DataMatrix, sigma: float, steps: int,
         rows, _ = noisy_rows(X, sigma, batch, rng, out=noisy)
         stacked[:batch, :-1] = noisy
         out, cache = model._forward(stacked, sigma, forward_work)
-        val_losses[k] = _mean_sq(np.subtract(out[batch:], val_rows, out=val_diff))
+        val_losses[k] = mean_sq(np.subtract(out[batch:], val_rows, out=val_diff))
         loss, _ = model._backward(out, cache, rows, sigma, backward_work)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite training loss at step {k}", step=k, sigma=sigma)

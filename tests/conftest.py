@@ -227,3 +227,16 @@ def one_batch_jacobian(D, x, sigma, h=1e-4):
     probes = np.concatenate([x + h * np.eye(d), x - h * np.eye(d)])
     outputs = D.evaluate_batch(probes, sigma)
     return (outputs[:d] - outputs[d:]).T / (2.0 * h)
+
+
+def multi_delta_jacobian(Y, x, sigma):
+    """The multi-delta Jacobian at x by the second-order Tweedie identity, as an oracle.
+
+    J = sum_i w_i (y_i - D(x)) (y_i - D(x))^T / sigma^2, the posterior covariance over
+    sigma^2, with softmax weights w_i built from the squared distances |x - y_i|^2.
+    """
+    logits = -((x - Y.values)**2).sum(axis=1) / (2.0 * sigma**2)
+    w = np.exp(logits - logits.max())
+    w /= w.sum()
+    centered = Y.values - w @ Y.values
+    return (centered.T * w) @ centered / sigma**2

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -16,8 +17,8 @@ import denoiselab
 from denoiselab import cli, load_affine, read_raw_f64
 from denoiselab.cli import main
 from denoiselab.errors import PluginExitError
-from denoiselab.sampler import Trajectory
-from denoiselab.verify import SUITES
+from denoiselab.sampler import Trajectory, ode_sample
+from denoiselab.verify import SUITES, suite_memorize
 from denoiselab.synth import cluster_dataset
 
 from conftest import NAN_BELOW_ONE, plugin_spec, write_csv
@@ -230,6 +231,37 @@ def test_verify_memorize_suite_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS memorize/gl-score" in out
+
+
+def test_verify_memorize_suite_makes_no_starts_by_rows_by_dim_temporary():
+    suite_memorize(n_samples=50)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        suite_memorize(n_samples=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 100 x 2000 x 16 float64 temporary is 25.6 MB; the suite peaks at 3.3 MB
+    assert peak < 20e6
+
+
+# hits of 100 starts at seed 0, 1e-2 down to 1e-12: 98, 11, then 0 at dim 1; 100, 93 to 77 at dim 2
+@pytest.mark.parametrize("tolerance", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_verify_memorize_hits_match_the_nearest_row_by_relative_distance(monkeypatch, dim,
+                                                                         tolerance):
+    runs = []
+
+    def keep(D, schedule, x_T):
+        trajectory = ode_sample(D, schedule, x_T)
+        runs.append((D.data.values, trajectory.final))
+        return trajectory
+
+    monkeypatch.setattr(denoiselab.verify, "ode_sample", keep)
+    hits = suite_memorize(dim=dim, n_samples=2000, tolerance=tolerance)[0].value
+    (Y, finals), = runs
+    rel = np.linalg.norm(Y - finals[:, None, :], axis=2) / np.linalg.norm(Y, axis=1)
+    assert hits == np.count_nonzero(rel.min(axis=1) <= tolerance)
 
 
 @pytest.mark.parametrize("argv", [["--suite", "memorize", "--n-starts", "0"],

@@ -222,13 +222,11 @@ def test_denoiser_without_evaluate_batch_raises_not_implemented():
 
 
 _CFG = DistillConfig(steps=3, batch=2, lr=0.01, seed=0)
-#: an affine map is fit at one level and ignores the sigma it is called at
-IGNORE_SIGMA = ("affine",)
 
 #: every library entry point that takes a noise level, called at sigma s
 SIGMA_ENTRY_POINTS = {
     **{name: (lambda s, build=build: build().evaluate_batch(DATA3.values, s))
-       for name, build in DENOISERS.items() if name not in IGNORE_SIGMA},
+       for name, build in DENOISERS.items()},
     "shrinkage": lambda s: GaussianDenoiser(STATS3).shrinkage(s),
     "closed_form_linear": lambda s: closed_form_linear(STATS3, s),
     "score_batch": lambda s: score_batch(GaussianDenoiser(STATS3), DATA3.values, s),
@@ -240,14 +238,16 @@ SIGMA_ENTRY_POINTS = {
     "score_diff": lambda s: score_diff(GaussianDenoiser(STATS3), MultiDeltaDenoiser(DATA3),
                                        DATA3, s, n=4),
     "jacobian_fd": lambda s: jacobian_fd(GaussianDenoiser(STATS3), np.zeros(3), s),
+    "jacobian_fd-affine": lambda s: jacobian_fd(DENOISERS["affine"](), np.zeros(3), s),
     "train_toy": lambda s: train_toy(init_toy(0, 3, 4), DATA3, s, 2, 2, 1e-3, 0),
     "edm_schedule": lambda s: edm_schedule(0.002, s, 7.0, 10),
 }
 
 #: the entry points that take sigma = 0: the Gaussian ones, where the gain is its continuous
-#: limit, and the two that pass sigma on to a denoiser that may take it (affine, a plugin)
-TAKE_ZERO = ("shrinkage", "gaussian", "closed_form_linear", "jacobian_fd", "per-level",
-             "external")
+#: limit, an affine map, which is fit at one level and only checks the sigma it is called at,
+#: and the two that pass sigma on to a denoiser that may take it (a per-level table, a plugin)
+TAKE_ZERO = ("shrinkage", "gaussian", "closed_form_linear", "jacobian_fd", "affine",
+             "jacobian_fd-affine", "per-level", "external")
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -1.0, 1e155, 2.0**512])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from denoiselab import (
     singular_vector_correlation,
 )
 from denoiselab.denoisers import MAX_DENSE_DIM, ROW_BUDGET
-from denoiselab.errors import ValueRangeError
+from denoiselab.errors import DimensionMismatchError, ValueRangeError
 from denoiselab.jacobian import save_jacobian_report
 
-from conftest import FnDenoiser, fresh_interpreter, one_batch_jacobian, plugin_argv, write_csv
+from conftest import (FnDenoiser, fresh_interpreter, multi_delta_jacobian, one_batch_jacobian,
+                      plugin_argv, write_csv)
 
 
 def _distinct_stats(rng, d=8):
@@ -87,6 +89,20 @@ def test_gaussian_jacobian_spectrum_and_vectors(rng):
     assert np.all(np.diag(C) > 0.99)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 2.0, 8.0, 80.0])
+def test_multi_delta_jacobian_matches_the_posterior_covariance(sigma, seed):
+    # measured over seeds 0-9: <= 3.7e-8 of max|J| from sigma = 0.5 up; at sigma = 0.2,
+    # where max|J| runs from 2.8e-9 to 8.3, <= 9.6e-6 absolute
+    rng = np.random.default_rng(seed)
+    Y = DataMatrix(rng.uniform(-1, 1, size=(64, 16)))
+    x = rng.uniform(-1, 1, 16)
+    J = jacobian_fd(MultiDeltaDenoiser(Y), x, sigma)
+    oracle = multi_delta_jacobian(Y, x, sigma)
+    band = 3e-5 if sigma < 0.5 else 1e-7 * np.abs(oracle).max()
+    assert np.abs(J - oracle).max() <= band
+
+
 def test_perturb_zero_magnitude_matches_unperturbed(rng):
     X = DataMatrix(rng.uniform(-1, 1, size=(6, 4)))
     den = MultiDeltaDenoiser(X)
@@ -134,6 +150,26 @@ def test_perturb_validation(rng):
         perturb_and_resample(den, schedule, traj, 0, np.array([2.0, 0.0]), [1.0])
     with pytest.raises(ValueRangeError):
         perturb_and_resample(den, schedule, traj, 4, np.array([1.0, 0.0]), [1.0])
+
+
+#: directions refused at d = 2; a unit scalar or (1,) one would broadcast to a step of m * sqrt(2)
+BAD_DIRECTIONS = {"scalar": np.array(1.0), "one-wide": np.array([1.0]),
+                  "one-too-wide": np.array([1.0, 0.0, 0.0]), "column": np.array([[1.0], [0.0]]),
+                  "nan": np.array([np.nan, 0.0]), "inf": np.array([np.inf, 0.0])}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DIRECTIONS))
+def test_perturb_refuses_a_direction_that_is_not_a_unit_dim_vector(case):
+    den = AffineDenoiser(np.eye(2), np.zeros(2))
+    schedule = edm_schedule(0.01, 5.0, 7.0, 4)
+    traj = ode_sample(den, schedule, np.ones(2))
+    direction = BAD_DIRECTIONS[case]
+    error, message = ((ValueRangeError, "unit norm") if direction.shape == (2,)
+                      else (DimensionMismatchError, "direction shape"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            perturb_and_resample(den, schedule, traj, 0, direction, [1.0])
 
 
 def test_report_validation_and_export(tmp_path, rng):
