@@ -215,12 +215,12 @@ def cmd_stats(resolved: dict) -> int:
 def cmd_sample(resolved: dict) -> int:
     if resolved["count"] < 1:
         raise UsageError(f"count must be at least 1, got {resolved['count']}")
+    if resolved["oracle"] and resolved["denoiser"] != "gaussian":
+        raise UsageError("--oracle only applies to the gaussian denoiser")
     data = _load_data(resolved)
     schedule = _schedule(resolved)
     with _Run("sample", resolved) as run:
         den = _build_denoiser(resolved["denoiser"], data, run, resolved["dim"])
-        if resolved["oracle"] and resolved["denoiser"] != "gaussian":
-            raise UsageError("--oracle only applies to the gaussian denoiser")
         stats = den.stats if resolved["oracle"] else None
         finals = np.empty((resolved["count"], den.dim))
         oracle_gap = 0.0

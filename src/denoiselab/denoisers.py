@@ -5,11 +5,14 @@ the clean vector. The closed-form ones here are the exact optima for two
 idealized data models: a finite point set (softmax-weighted average of the
 points) and a multivariate Gaussian (the Wiener / MMSE linear filter built
 from the empirical mean and covariance). All built-in denoisers are
-immutable and safe for concurrent evaluation. The noise-level rule
-(``check_sigma``) and the desk-scale limits that every module shares live here.
+immutable and safe for concurrent evaluation. The argument rules that every
+module shares live here: noise levels (``check_sigma``), counts
+(``check_count``), positive scales (``check_scale``) and the desk-scale limits.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -34,6 +37,25 @@ def check_sigma(sigma: float, zero: bool = False) -> float:
         raise ValueRangeError(f"sigma must be {'nonnegative' if zero else 'positive'} and "
                               f"below 2**512, where sigma^2 overflows, got {sigma}")
     return sigma
+
+
+def check_count(name: str, value: int, low: int = 1) -> int:
+    """value as an int if ``operator.index`` takes it and it is >= low, else ValueRangeError."""
+    try:
+        if operator.index(value) >= low:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueRangeError(f"{name} must be at least {low}, got {value!r}")
+
+
+def check_scale(name: str, value: float, zero: bool = False) -> float:
+    """value as a float if 0 < value < inf (0 <= value with ``zero``), else ValueRangeError."""
+    value = float(value)
+    if not (0 <= value if zero else 0 < value) or not value < np.inf:
+        raise ValueRangeError(f"{name} must be {'nonnegative' if zero else 'positive'} and "
+                              f"finite, got {value}")
+    return value
 
 
 def check_dense_dim(dim: int) -> None:
@@ -176,8 +198,8 @@ class PerLevelDenoiser(Denoiser):
     """Dispatch table mapping each noise level to its own denoiser.
 
     Mirrors per-level training: one model per sigma. Each call uses the entry
-    whose level is nearest to its sigma (the smaller level on a tie); a sigma
-    outside ``check_sigma(sigma, zero=True)`` raises ``ValueRangeError``.
+    whose level is nearest to its sigma (the smaller level on a tie). A level
+    or a sigma outside ``check_sigma(sigma, zero=True)`` raises ``ValueRangeError``.
     """
 
     def __init__(self, levels: dict[float, Denoiser]):
@@ -186,8 +208,8 @@ class PerLevelDenoiser(Denoiser):
         dims = {d.dim for d in levels.values()}
         if len(dims) != 1:
             raise DimensionMismatchError(f"mixed dimensions in level table: {dims}")
-        self._sigmas = np.array(sorted(levels), dtype=np.float64)
-        self._table = {float(s): levels[s] for s in levels}
+        self._table = {check_sigma(s, zero=True): d for s, d in levels.items()}
+        self._sigmas = np.array(sorted(self._table), dtype=np.float64)
         self.dim = dims.pop()
 
     def evaluate_batch(self, X: np.ndarray, sigma: float) -> np.ndarray:

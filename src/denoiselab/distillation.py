@@ -18,16 +18,10 @@ import numpy as np
 
 from .dataset import (DataMatrix, GaussianStats, noisy_rows, read_container,
                       write_container, write_csv)
-from .denoisers import (ROW_BUDGET, AffineDenoiser, Denoiser, GaussianDenoiser, check_dense_dim,
-                        check_sigma)
-from .errors import (
-    DimensionMismatchError,
-    DivergenceError,
-    FormatError,
-    ValueRangeError,
-    annotate,
-)
-from .optim import Adam, check_learning_rate, mean_sq
+from .denoisers import (ROW_BUDGET, AffineDenoiser, Denoiser, GaussianDenoiser, check_count,
+                        check_dense_dim, check_scale, check_sigma)
+from .errors import DimensionMismatchError, DivergenceError, FormatError, annotate
+from .optim import Adam, mean_sq
 
 AFFINE_MAGIC = b"AFF1"
 AFFINE_HEADER = "<Id"  # dim, sigma (NaN when unset)
@@ -50,9 +44,9 @@ class DistillConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch < 1:
-            raise ValueRangeError("steps and batch must be at least 1")
-        check_learning_rate(self.lr)
+        check_count("steps", self.steps)
+        check_count("batch", self.batch)
+        check_scale("lr", self.lr, zero=True)
 
 
 def closed_form_linear(stats: GaussianStats, sigma: float) -> AffineDenoiser:
@@ -205,8 +199,7 @@ def orthogonality_residual(D: Denoiser, X: DataMatrix, sigma: float,
     maps like the zero map on strongly anisotropic data.
     """
     sigma = check_sigma(sigma)
-    if n_samples < 1:
-        raise ValueRangeError("need at least one sample")
+    check_count("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     rows, noisy = noisy_rows(X, sigma, n_samples, rng)
     resid = D.evaluate_batch(noisy, sigma) - rows

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import write_json, write_raw_f64
-from .denoisers import ROW_BUDGET, Denoiser, check_dense_dim
+from .denoisers import ROW_BUDGET, Denoiser, check_dense_dim, check_scale
 from .errors import DimensionMismatchError, ValueRangeError
 from .sampler import SigmaSchedule, Trajectory, ode_sample
 
@@ -52,8 +52,7 @@ def jacobian_fd(D: Denoiser, x: np.ndarray, sigma: float,
     block may round differently in the denoiser's products than one call of
     all 2d probes, so J can differ from it in the last bits.
     """
-    if h <= 0:
-        raise ValueRangeError(f"step must be positive, got {h}")
+    check_scale("h", h)
     x = np.asarray(x, dtype=np.float64)
     d = D.dim
     if x.shape != (d,):

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import DataMatrix, noisy_rows, write_csv, write_json
-from .denoisers import Denoiser, MultiDeltaDenoiser, check_sigma
+from .denoisers import Denoiser, MultiDeltaDenoiser, check_count, check_sigma
 from .errors import DimensionMismatchError, ValueRangeError, annotate
 from .sampler import SigmaSchedule
 
@@ -48,14 +48,13 @@ def linearity_score(D: Denoiser, X: DataMatrix, sigma: float,
     skipped and counted.
     """
     norm = float(alpha) * float(alpha) + float(beta) * float(beta)  # inf, not OverflowError
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # written so that NaN fails it
         raise ValueRangeError(
             f"alpha^2 + beta^2 must be 1 to keep the combined noise variance, got {norm}")
     sigma = check_sigma(sigma)
     if variant not in METRIC_VARIANTS["linearity"]:
         raise ValueError(f"unknown linearity variant {variant!r}")
-    if n_pairs < 1:
-        raise ValueRangeError("need at least one pair")
+    check_count("n_pairs", n_pairs)
     rng = np.random.default_rng(seed)
     _, x1 = noisy_rows(X, sigma, n_pairs, rng)
     _, x2 = noisy_rows(X, sigma, n_pairs, rng)
@@ -88,8 +87,7 @@ def score_diff(D1: Denoiser, D2: Denoiser, X: DataMatrix, sigma: float,
         raise DimensionMismatchError("denoiser and data dimensions disagree")
     if variant not in METRIC_VARIANTS["score-diff"]:
         raise ValueError(f"unknown score_diff variant {variant!r}")
-    if n < 1:
-        raise ValueRangeError("need at least one sample")
+    check_count("n", n)
     rng = np.random.default_rng(seed)
     _, noisy = noisy_rows(X, sigma, n, rng)
     out1 = D1.evaluate_batch(noisy, sigma)
@@ -131,11 +129,13 @@ def gl_score(samples: np.ndarray, Y: DataMatrix) -> MetricValue:
 
 
 def weight_nmse(W1: np.ndarray, W2: np.ndarray) -> float:
-    """Normalized squared weight difference ||W1-W2||_F^2 / ||W2||_F^2."""
+    """Normalized squared weight difference ||W1-W2||_F^2 / ||W2||_F^2, of finite weights."""
     W1 = np.asarray(W1, dtype=np.float64)
     W2 = np.asarray(W2, dtype=np.float64)
     if W1.shape != W2.shape:
         raise DimensionMismatchError(f"shape mismatch {W1.shape} vs {W2.shape}")
+    if not (np.isfinite(W1).all() and np.isfinite(W2).all()):
+        raise ValueRangeError("non-finite weight matrix")
     ref = float(np.sum(W2**2))
     if ref == 0.0:
         raise ValueRangeError("reference weight matrix is zero")
@@ -145,9 +145,9 @@ def weight_nmse(W1: np.ndarray, W2: np.ndarray) -> float:
 def singular_vector_correlation(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
     """Absolute inner products |U1[:,i]^T U2[:,j]| between two vector sets.
 
-    Columns are expected unit-norm; off ones are normalized with a warning.
-    Entries lie in [0, 1]; for identical subspaces with distinct singular
-    values the matrix is a permutation.
+    Columns are expected finite and unit-norm; off ones are normalized with a
+    warning. Entries lie in [0, 1]; for identical subspaces with distinct
+    singular values the matrix is a permutation.
     """
     U1 = np.asarray(U1, dtype=np.float64)
     U2 = np.asarray(U2, dtype=np.float64)
@@ -155,6 +155,8 @@ def singular_vector_correlation(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError("vector sets live in different dimensions")
     out = []
     for U in (U1, U2):
+        if not np.isfinite(U).all():
+            raise ValueRangeError("non-finite entry in singular vector set")
         norms = np.linalg.norm(U, axis=0)
         if np.any(norms == 0):
             raise ValueRangeError("zero column in singular vector set")

@@ -2,17 +2,7 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .errors import ValueRangeError
-
-
-def check_learning_rate(lr: float) -> None:
-    """Refuse a learning rate outside [0, inf) with ValueRangeError."""
-    if not 0 <= lr < math.inf:
-        raise ValueRangeError(f"learning rate must be finite and nonnegative, got {lr}")
 
 
 def mean_sq(diff: np.ndarray) -> float:

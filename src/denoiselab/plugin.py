@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .denoisers import Denoiser, check_sigma
+from .denoisers import Denoiser, check_count, check_scale, check_sigma
 from .errors import (
     DimensionMismatchError,
     PluginExitError,
@@ -52,10 +52,11 @@ class ExternalDenoiser(Denoiser):
     """A ``Denoiser`` evaluated by a child process over the plugin protocol.
 
     ``command`` is the child's argv list; ``dim`` is the expected data
-    dimension, at least 1 (checked before the child starts) and confirmed
-    during the handshake. ``timeout`` (seconds) bounds every wait to read or
-    write. Each ``evaluate_batch`` call is one round trip; X that ``_check_input``
-    refuses, or a sigma outside ``check_sigma(sigma, zero=True)``, sends no byte.
+    dimension, a count of at least 1, confirmed during the handshake.
+    ``timeout`` (seconds, positive and finite) bounds every wait to read or
+    write; both are checked before the child starts. Each ``evaluate_batch``
+    call is one round trip; X that ``_check_input`` refuses, or a sigma outside
+    ``check_sigma(sigma, zero=True)``, sends no byte.
     A handshake or round trip that breaks before its frame is complete (a write
     that fails or times out, a read timeout, EOF, a refused reply header, bytes
     past the frame) ends the child; every later call raises ``PluginExitError``.
@@ -65,10 +66,8 @@ class ExternalDenoiser(Denoiser):
     """
 
     def __init__(self, command: list[str], dim: int, timeout: float = 30.0):
-        if dim < 1:
-            raise ValueRangeError(f"plugin dimension must be at least 1, got {dim}")
-        self.dim = dim
-        self.timeout = timeout
+        self.dim = check_count("dim", dim)
+        self.timeout = check_scale("timeout", timeout)
         env = dict(os.environ)
         if not any(name in env for name in CHILD_THREAD_VARS):
             env["OPENBLAS_NUM_THREADS"] = "1"

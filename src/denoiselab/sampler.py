@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import GaussianStats, write_csv
-from .denoisers import Denoiser, check_sigma
+from .denoisers import Denoiser, check_count, check_scale, check_sigma
 from .errors import DimensionMismatchError, ValueRangeError, annotate
 
 
@@ -105,10 +105,8 @@ def edm_schedule(sigma_min: float, sigma_max: float, rho: float, n_steps: int) -
     if not (0 < sigma_min < sigma_max < np.inf):
         raise ValueRangeError(f"need 0 < sigma_min < sigma_max < inf, got {sigma_min}, {sigma_max}")
     check_sigma(sigma_max)
-    if not 0 < rho < np.inf:
-        raise ValueRangeError(f"rho must be positive and finite, got {rho}")
-    if n_steps < 2:
-        raise ValueRangeError(f"n_steps must be at least 2, got {n_steps}")
+    check_scale("rho", rho)
+    check_count("n_steps", n_steps, low=2)
     try:
         top, bottom = sigma_max ** (1 / rho), sigma_min ** (1 / rho)
     except OverflowError:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import DataMatrix
+from .denoisers import check_count
 from .errors import ValueRangeError
 
 
@@ -27,7 +28,8 @@ def gaussian_dataset(seed: int, n_samples: int, dim: int,
 def cluster_dataset(seed: int, n_samples: int, dim: int, n_clusters: int = 2,
                     spread: float = 0.1, box: float = 0.8) -> DataMatrix:
     """Clustered points: seeded centers in [-box, box]^dim plus Gaussian jitter."""
-    if n_clusters < 1 or n_samples < n_clusters:
+    check_count("n_clusters", n_clusters)
+    if n_samples < n_clusters:
         raise ValueRangeError("need at least one sample per cluster")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-box, box, size=(n_clusters, dim))

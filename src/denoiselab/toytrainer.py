@@ -17,14 +17,14 @@ from typing import Callable
 import numpy as np
 
 from .dataset import DataMatrix, noisy_rows, read_container, write_container
-from .denoisers import Denoiser, check_sigma
+from .denoisers import Denoiser, check_count, check_scale, check_sigma
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
     FormatError,
     ValueRangeError,
 )
-from .optim import Adam, check_learning_rate, mean_sq
+from .optim import Adam, mean_sq
 
 TOY_MAGIC = b"TOY1"
 TOY_HEADER = "<BIId"  # mode (0=dae, 1=skip), dim, hidden, sigma_data
@@ -86,9 +86,7 @@ class ToyDenoiser(Denoiser):
         if not np.isfinite(self.flat_params).all():
             raise ValueRangeError("non-finite toy parameters")
         self.mode = mode
-        self.sigma_data = float(sigma_data)
-        if not 0.0 < self.sigma_data < np.inf:
-            raise ValueRangeError(f"sigma_data must be finite and positive, got {sigma_data}")
+        self.sigma_data = check_scale("sigma_data", sigma_data)
         if skip_coefficients is None:
             skip_coefficients = default_skip_coefficients(self.sigma_data)
         self.c_skip, self.c_out = skip_coefficients
@@ -209,8 +207,8 @@ def _one_minus_square(a: np.ndarray) -> np.ndarray:
 def init_toy(seed: int, dim: int, hidden: int, mode: str = "dae",
              sigma_data: float = DEFAULT_SIGMA_DATA) -> ToyDenoiser:
     """Seeded initialization: weights scaled by 1/sqrt(fan_in), biases zero."""
-    if dim < 1 or hidden < 1:
-        raise ValueRangeError(f"dim and hidden must be positive, got {dim}, {hidden}")
+    check_count("dim", dim)
+    check_count("hidden", hidden)
     rng = np.random.default_rng(seed)
     params = [rng.standard_normal(s) / np.sqrt(s[0]) if len(s) == 2 else np.zeros(s)
               for s in _param_shapes(dim, hidden)]
@@ -253,9 +251,8 @@ def train_toy(model: ToyDenoiser, X: DataMatrix, sigma: float, steps: int,
     sigma = check_sigma(sigma)
     if not 1 <= batch <= X.n_samples:
         raise ValueRangeError(f"batch must be in [1, {X.n_samples}], got {batch}")
-    if steps < 1:
-        raise ValueRangeError("need at least one step")
-    check_learning_rate(lr)
+    check_count("steps", steps)
+    check_scale("lr", lr, zero=True)
     rng = np.random.default_rng(seed)
     val_rows, val_noisy = noisy_rows(X, sigma, batch, rng)
     # the training rows [:batch] of the stacked input are rewritten every step
@@ -293,8 +290,7 @@ def grad_check(model: ToyDenoiser, x: np.ndarray, target: np.ndarray,
     the model is smaller) with step 1e-5 on the squared-error loss at a
     single point. Correct backpropagation lands well below 1e-4.
     """
-    if n_checks < 1:
-        raise ValueRangeError(f"n_checks must be at least 1, got {n_checks}")
+    check_count("n_checks", n_checks)
     x = np.asarray(x, dtype=np.float64)[None, :]
     target = np.asarray(target, dtype=np.float64)[None, :]
     h = 1e-5

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix, empirical_stats
-from .denoisers import AffineDenoiser, GaussianDenoiser, MultiDeltaDenoiser
+from .denoisers import (AffineDenoiser, GaussianDenoiser, MultiDeltaDenoiser, check_count,
+                        check_scale)
 from .distillation import (
     DistillConfig,
     augmented_moments,
@@ -20,7 +21,6 @@ from .distillation import (
     orthogonality_residual,
     train_linear_dsm,
 )
-from .errors import ValueRangeError
 from .metrics import gl_score, weight_nmse
 from .sampler import edm_schedule, gaussian_trajectory, ode_sample
 from .synth import gaussian_dataset
@@ -58,13 +58,11 @@ def _default_data(seed: int, dim: int, n_samples: int) -> DataMatrix:
     return gaussian_dataset(seed, n_samples, dim, mean=mean, eigvals=eigvals)
 
 
-def _check_sizes(dim: int, n_samples: int, tolerance: float = 1.0) -> None:
-    """Refuse a tolerance that is not positive and a dim or sample count below 1."""
-    if not tolerance > 0:
-        raise ValueRangeError(f"tolerance must be positive, got {tolerance}")
-    for name, value in (("dim", dim), ("n_samples", n_samples)):
-        if value < 1:
-            raise ValueRangeError(f"{name} must be at least 1, got {value}")
+def _check_sizes(dim: int, n_samples: int, tolerance: float = 1.0, **counts: int) -> None:
+    """Refuse a tolerance that is not positive and finite, and dim, n_samples or a count below 1."""
+    check_scale("tolerance", tolerance)
+    for name, value in {"dim": dim, "n_samples": n_samples, **counts}.items():
+        check_count(name, value)
 
 
 def _stable_lr(X: DataMatrix, sigma: float) -> float:
@@ -102,9 +100,7 @@ def suite_trajectory(seed: int = 0, dim: int = 24, n_samples: int = 512,
     must fall with the step count and halve from 200 to 400 steps, as a
     first-order method's does; it is about ln(sigma_max/sigma_min) / (4n).
     """
-    _check_sizes(dim, n_samples, tolerance)
-    if n_seeds < 1:
-        raise ValueRangeError(f"need at least one start, got n_seeds={n_seeds}")
+    _check_sizes(dim, n_samples, tolerance, n_seeds=n_seeds)
     X = _default_data(seed, dim, n_samples)
     stats = empirical_stats(X)
     den = GaussianDenoiser(stats)
@@ -138,9 +134,7 @@ def suite_trajectory(seed: int = 0, dim: int = 24, n_samples: int = 512,
 def suite_memorize(seed: int = 0, dim: int = 16, n_samples: int = 32,
                    n_starts: int = 100, tolerance: float = 1e-2) -> list[CheckResult]:
     """Sampling with the finite-point-set denoiser reproduces training rows."""
-    _check_sizes(dim, n_samples, tolerance)
-    if n_starts < 1:
-        raise ValueRangeError(f"need at least one start, got n_starts={n_starts}")
+    _check_sizes(dim, n_samples, tolerance, n_starts=n_starts)
     rng = np.random.default_rng(seed)
     X = DataMatrix(rng.uniform(-1.0, 1.0, size=(n_samples, dim)))
     den = MultiDeltaDenoiser(X)

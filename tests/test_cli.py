@@ -109,6 +109,16 @@ def test_sample_oracle_report_matches_recomputation(tmp_path, cluster_csv):
     assert rel <= gap + 1e-12
 
 
+def test_sample_oracle_is_refused_before_the_denoiser_is_built(tmp_path, capsys):
+    # building this denoiser would fail to start the command and exit 3
+    out = tmp_path / "o"
+    code = main(["sample", "--denoiser", "external:no-such-denoiser-command", "--dim", "3",
+                 "--oracle", "--out", str(out)])
+    assert code == 2
+    assert "--oracle only applies to the gaussian denoiser" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_rerun_from_manifest_config(tmp_path, cluster_csv):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     main(["sample", "--data", cluster_csv, "--denoiser", "multi-delta",
@@ -270,7 +280,8 @@ def test_verify_memorize_hits_match_the_nearest_row_by_relative_distance(monkeyp
                                   ["--suite", "trajectory", "--n-seeds", "-1"]])
 def test_verify_without_starts_exits_3(capsys, argv):
     assert main(["verify", *argv]) == 3
-    assert "need at least one start" in capsys.readouterr().err
+    name = argv[2][2:].replace("-", "_")
+    assert f"{name} must be at least 1, got {argv[3]}" in capsys.readouterr().err
 
 
 def test_sample_from_toy_checkpoint_without_data(tmp_path):
@@ -698,7 +709,7 @@ def test_metrics_score_diff_without_samples_exits_3(tmp_path, cluster_csv, capsy
         code = main(["metrics", "--data", cluster_csv, "--metric", "score-diff",
                      "--denoiser2", "multi-delta", "--n", "0", "--out", str(out)])
     assert code == 3
-    assert "need at least one sample" in capsys.readouterr().err
+    assert "n must be at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -32,7 +32,11 @@ from denoiselab import (
     train_linear_dsm,
     train_toy,
 )
+from denoiselab.denoisers import check_count, check_scale
 from denoiselab.errors import DimensionMismatchError, ValueRangeError
+from denoiselab.synth import cluster_dataset
+from denoiselab.toytrainer import grad_check
+from denoiselab.verify import suite_memorize, suite_trajectory
 
 from conftest import DATA3, DENOISERS, STATS3, FnDenoiser, echo_child
 
@@ -209,6 +213,22 @@ def test_per_level_denoiser_dispatch(two_point_stats):
     assert np.array_equal(table.evaluate(x, 9.0), x)
     with pytest.raises(ValueRangeError):
         PerLevelDenoiser({})
+
+
+@pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf, -1.0, 2.0**512])
+def test_per_level_denoiser_refuses_a_level_outside_the_sigma_domain(level):
+    D = AffineDenoiser(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueRangeError, match="sigma must be nonnegative"):
+        PerLevelDenoiser({level: D, 1.0: D})
+
+
+def test_per_level_denoiser_takes_a_level_zero():
+    lo = AffineDenoiser(np.zeros((2, 2)), np.zeros(2))
+    hi = AffineDenoiser(np.eye(2), np.zeros(2))
+    table = PerLevelDenoiser({0: lo, np.float64(1.0): hi})
+    x = np.array([1.0, 2.0])
+    assert np.array_equal(table.evaluate(x, 0.0), [0.0, 0.0])
+    assert np.array_equal(table.evaluate(x, 0.9), x)
 
 
 def test_denoiser_without_evaluate_batch_raises_not_implemented():
@@ -404,3 +424,113 @@ def test_gaussian_gain_is_bitwise_the_guarded_division(sigma):
         warnings.simplefilter("error")
         assert den.shrinkage(sigma).tobytes() == gain.tobytes()
         assert den.evaluate_batch(X, sigma).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1, 0, 2.5, 10.9, np.float64(3.0),
+                                   "3", None])
+def test_check_count_refuses_what_is_not_an_integer_of_at_least_low(value):
+    with pytest.raises(ValueRangeError, match=r"^n must be at least 1, got "):
+        check_count("n", value)
+
+
+@pytest.mark.parametrize("value, low", [(3, 1), (np.int64(3), 1), (np.int32(3), 3), (True, 1),
+                                        (0, 0), (2, 2)])
+def test_check_count_returns_an_int_of_at_least_low(value, low):
+    count = check_count("n", value, low)
+    assert type(count) is int and count == value
+    with pytest.raises(ValueRangeError, match=f"n must be at least {low + 4}, got "):
+        check_count("n", value, low + 4)
+
+
+@pytest.mark.parametrize("zero", [False, True])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+def test_check_scale_refuses_what_is_not_finite_and_positive(value, zero):
+    word = "nonnegative" if zero else "positive"
+    with pytest.raises(ValueRangeError, match=f"^h must be {word} and finite, got "):
+        check_scale("h", value, zero)
+
+
+def test_check_scale_takes_zero_only_when_told():
+    with pytest.raises(ValueRangeError, match="h must be positive and finite, got 0.0"):
+        check_scale("h", 0.0)
+    assert check_scale("h", 0.0, zero=True) == 0.0
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.float64(0.5), 5e-324, 1.7e308])
+def test_check_scale_returns_a_float(value):
+    scale = check_scale("h", value)
+    assert type(scale) is float and scale == value
+
+
+#: every count the library takes, as "function:argument", called with n; the ExternalDenoiser
+#: command does not exist, so a count that reached Popen would raise FileNotFoundError
+COUNT_ENTRY_POINTS = {
+    "DistillConfig:steps": lambda n: DistillConfig(steps=n, batch=2, lr=0.01, seed=0),
+    "DistillConfig:batch": lambda n: DistillConfig(steps=3, batch=n, lr=0.01, seed=0),
+    "orthogonality_residual:n_samples": lambda n: orthogonality_residual(
+        GaussianDenoiser(STATS3), DATA3, 1.0, n, 0),
+    "linearity_score:n_pairs": lambda n: linearity_score(GaussianDenoiser(STATS3), DATA3, 1.0,
+                                                         n_pairs=n),
+    "score_diff:n": lambda n: score_diff(GaussianDenoiser(STATS3), GaussianDenoiser(STATS3),
+                                         DATA3, 1.0, n=n),
+    "ExternalDenoiser:dim": lambda n: ExternalDenoiser(["no-such-denoiser-command"], dim=n),
+    "edm_schedule:n_steps": lambda n: edm_schedule(0.002, 80.0, 7.0, n),
+    "init_toy:dim": lambda n: init_toy(0, n, 4),
+    "init_toy:hidden": lambda n: init_toy(0, 3, n),
+    "train_toy:steps": lambda n: train_toy(init_toy(0, 3, 4), DATA3, 0.5, n, 2, 1e-3, 0),
+    "grad_check:n_checks": lambda n: grad_check(init_toy(0, 3, 4), np.zeros(3), np.zeros(3),
+                                                0.5, n),
+    "suite_memorize:dim": lambda n: suite_memorize(dim=n),
+    "suite_memorize:n_samples": lambda n: suite_memorize(n_samples=n),
+    "suite_memorize:n_starts": lambda n: suite_memorize(n_starts=n),
+    "suite_trajectory:n_seeds": lambda n: suite_trajectory(n_seeds=n),
+    "cluster_dataset:n_clusters": lambda n: cluster_dataset(0, 4, 2, n_clusters=n),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, 10.9, "3", np.nan])
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_every_count_is_refused_by_the_count_rule(entry, value):
+    name = entry.split(":")[1]
+    low = 2 if name == "n_steps" else 1
+    with pytest.raises(ValueRangeError, match=f"^{name} must be at least {low}, got "):
+        COUNT_ENTRY_POINTS[entry](value)
+
+
+#: every positive scale the library takes, as "function:argument", called with h
+SCALE_ENTRY_POINTS = {
+    "DistillConfig:lr": lambda h: DistillConfig(steps=3, batch=2, lr=h, seed=0),
+    "train_toy:lr": lambda h: train_toy(init_toy(0, 3, 4), DATA3, 0.5, 2, 2, h, 0),
+    "init_toy:sigma_data": lambda h: init_toy(0, 3, 4, sigma_data=h),
+    "ExternalDenoiser:timeout": lambda h: ExternalDenoiser(["no-such-denoiser-command"], dim=3,
+                                                           timeout=h),
+    "edm_schedule:rho": lambda h: edm_schedule(0.002, 80.0, h, 10),
+    "jacobian_fd:h": lambda h: jacobian_fd(GaussianDenoiser(STATS3), np.zeros(3), 1.0, h=h),
+    "suite_memorize:tolerance": lambda h: suite_memorize(tolerance=h),
+}
+#: a learning rate of 0 trains nothing, which is allowed
+SCALE_TAKES_ZERO = ("DistillConfig:lr", "train_toy:lr")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+@pytest.mark.parametrize("entry", sorted(SCALE_ENTRY_POINTS))
+def test_every_scale_is_refused_by_the_scale_rule(entry, value):
+    if value == 0.0 and entry in SCALE_TAKES_ZERO:
+        SCALE_ENTRY_POINTS[entry](value)
+        return
+    word = "nonnegative" if entry in SCALE_TAKES_ZERO else "positive"
+    name = entry.split(":")[1]
+    with pytest.raises(ValueRangeError, match=f"^{name} must be {word} and finite, got "):
+        SCALE_ENTRY_POINTS[entry](value)
+
+
+def test_a_step_count_that_is_not_an_integer_is_refused_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("noisy rows drawn before the arguments were checked")
+
+    monkeypatch.setattr("denoiselab.toytrainer.noisy_rows", no_draw)
+    model = init_toy(0, 3, 4)
+    before = model.flat_params.copy()
+    with pytest.raises(ValueRangeError, match="steps must be at least 1, got 2.5"):
+        train_toy(model, DATA3, 0.5, 2.5, 2, 1e-3, 0)
+    assert model.flat_params.tobytes() == before.tobytes()

@@ -22,10 +22,13 @@ from denoiselab import (
     perturb_and_resample,
     read_raw_f64,
     singular_vector_correlation,
+    train_toy,
 )
+from denoiselab.dataset import noisy_rows
 from denoiselab.denoisers import MAX_DENSE_DIM, ROW_BUDGET
 from denoiselab.errors import DimensionMismatchError, ValueRangeError
 from denoiselab.jacobian import save_jacobian_report
+from denoiselab.synth import gaussian_dataset
 
 from conftest import (FnDenoiser, fresh_interpreter, multi_delta_jacobian, one_batch_jacobian,
                       plugin_argv, write_csv)
@@ -101,6 +104,35 @@ def test_multi_delta_jacobian_matches_the_posterior_covariance(sigma, seed):
     oracle = multi_delta_jacobian(Y, x, sigma)
     band = 3e-5 if sigma < 0.5 else 1e-7 * np.abs(oracle).max()
     assert np.abs(J - oracle).max() <= band
+
+
+def _local_linearity_distances(seed_set, n_samples, sigma=0.5):
+    """Mean distances of a trained toy's Jacobians to the Wiener filter and to the
+    multi-delta Jacobians, at 20 noisy points, over the Wiener filter's Frobenius norm."""
+    X = gaussian_dataset(100 + seed_set, n_samples, 8, eigvals=np.linspace(2.0, 0.25, 8))
+    model = init_toy(7000 + seed_set, 8, 96, "dae")
+    train_toy(model, X, sigma, steps=1200, batch=min(n_samples, 32), lr=4e-3,
+              seed=7700 + seed_set)
+    wiener = closed_form_linear(empirical_stats(X), sigma).weight
+    _, points = noisy_rows(X, sigma, 20, np.random.default_rng(53))
+    jacobians = [jacobian_fd(model, x, sigma) for x in points]
+    to_wiener = np.mean([np.linalg.norm(J - wiener) for J in jacobians])
+    to_memorizing = np.mean([np.linalg.norm(J - multi_delta_jacobian(X, x, sigma))
+                             for J, x in zip(jacobians, points)])
+    return to_wiener / np.linalg.norm(wiener), to_memorizing / np.linalg.norm(wiener)
+
+
+def test_trained_jacobian_moves_from_the_memorizing_one_to_the_wiener_filter_as_n_grows():
+    # the single-level toy of criterion 10, trained at sigma = 0.5; over seed sets 0-9 the
+    # distances to Wiener / to multi-delta read 0.98-1.11 / 0.23-0.61 at N = 8 and
+    # 0.22-0.24 / 0.75-0.92 at N = 2048; at least two of three seed sets must cross over
+    crossed = []
+    for seed_set in range(3):
+        small_wiener, small_memorizing = _local_linearity_distances(seed_set, 8)
+        big_wiener, big_memorizing = _local_linearity_distances(seed_set, 2048)
+        crossed.append(bool(small_memorizing < 0.8 < small_wiener
+                            and big_wiener < 0.4 < 0.6 < big_memorizing))
+    assert sum(crossed) >= 2, crossed
 
 
 def test_perturb_zero_magnitude_matches_unperturbed(rng):

@@ -54,6 +54,15 @@ def test_linearity_rejects_bad_coefficients(two_point_data, two_point_stats):
         linearity_score(den, two_point_data, 1.0, alpha=1.0, beta=1.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan)])
+def test_linearity_rejects_nan_coefficients_before_any_call(two_point_data, alpha, beta):
+    def never(x, sigma):
+        raise AssertionError("denoiser called")
+
+    with pytest.raises(ValueRangeError, match=r"alpha\^2 \+ beta\^2 must be 1"):
+        linearity_score(FnDenoiser(2, never), two_point_data, 1.0, alpha=alpha, beta=beta)
+
+
 def test_linearity_skips_zero_norm_pairs():
     X = DataMatrix(np.array([[1.0, 1.0], [-1.0, -1.0]]))
 
@@ -69,9 +78,9 @@ def test_linearity_skips_zero_norm_pairs():
 def test_metrics_need_at_least_one_draw(two_point_data, two_point_stats):
     den = GaussianDenoiser(two_point_stats)
     for n in (0, -1):
-        with pytest.raises(ValueRangeError, match="at least one sample"):
+        with pytest.raises(ValueRangeError, match=f"n must be at least 1, got {n}"):
             score_diff(den, den, two_point_data, 1.0, n=n)
-        with pytest.raises(ValueRangeError, match="at least one pair"):
+        with pytest.raises(ValueRangeError, match=f"n_pairs must be at least 1, got {n}"):
             linearity_score(den, two_point_data, 1.0, n_pairs=n)
 
 
@@ -154,6 +163,16 @@ def test_weight_nmse_values(rng):
         weight_nmse(W, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_weight_nmse_refuses_non_finite_weights(rng, value):
+    W = rng.standard_normal((2, 2))
+    bad = W.copy()
+    bad[1, 0] = value
+    for W1, W2 in ((W, bad), (bad, W), (np.eye(2), np.full((2, 2), value))):
+        with pytest.raises(ValueRangeError, match="non-finite weight matrix"):
+            weight_nmse(W1, W2)
+
+
 def test_singular_vector_correlation_identity_and_permutation(rng):
     Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     U = Q[:, :4]
@@ -162,6 +181,16 @@ def test_singular_vector_correlation_identity_and_permutation(rng):
     C = singular_vector_correlation(U, perm)
     assert np.allclose(np.sort(C, axis=0)[-1], 1.0)
     assert np.isclose(C.sum(), 4.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_singular_vector_correlation_refuses_a_non_finite_column(value):
+    bad = np.array([[1.0, value], [0.0, 1.0]])
+    for U1, U2 in ((bad, np.eye(2)), (np.eye(2), bad), (np.array([[value]]), np.array([[1.0]]))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueRangeError, match="non-finite entry"):
+                singular_vector_correlation(U1, U2)
 
 
 def test_singular_vector_correlation_normalizes_with_warning(rng):

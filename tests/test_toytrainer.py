@@ -139,7 +139,7 @@ def test_train_validation_errors():
         train_toy(model, X, sigma=0.0, steps=10, batch=2, lr=0.1, seed=0)
     before = model.flat_params.copy()
     for lr in (-0.01, float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueRangeError, match="learning rate"):
+        with pytest.raises(ValueRangeError, match="lr must be nonnegative and finite"):
             train_toy(model, X, sigma=0.5, steps=10, batch=2, lr=lr, seed=0)
     assert np.array_equal(model.flat_params, before)
 
